@@ -43,19 +43,6 @@ def _parse_point(text: str):
         raise UnsupportedInputError(f"cannot parse point {text!r}: {exc}") from exc
 
 
-def _pick_endo(fixture: NilFixture, name):
-    names = sorted(fixture.endos)
-    if name is None:
-        if len(names) == 1:
-            return names[0]
-        raise UnsupportedInputError(
-            f"fixture has several maps {names}; pick one with --endo"
-        )
-    if name not in fixture.endos:
-        raise UnsupportedInputError(f"no map named {name!r}; available: {names}")
-    return name
-
-
 def cmd_classify(args) -> int:
     fixture = load_fixture(args.fixture)
     point = _parse_point(args.point)
@@ -72,7 +59,7 @@ def cmd_classify(args) -> int:
         cls, orbit = classify(fixture.endo, point)
         transcript = [str(p) for p in orbit.points]
     elif isinstance(fixture, NilFixture):
-        name = _pick_endo(fixture, args.endo)
+        name = fixture.pick_endo(args.endo)
         g = MalcevElement(fixture.group, point)
         cls, orbit = classify_nil(fixture.endos[name], fixture.lattice, g)
         transcript = [str(p) for p in orbit.points]

@@ -99,10 +99,6 @@ def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
 
 
-def vec_scale(u, s):
-    return [s * a for a in u]
-
-
 def vec_is_zero(u) -> bool:
     return all(x == 0 for x in u)
 

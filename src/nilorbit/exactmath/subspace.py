@@ -83,9 +83,6 @@ class SubspaceQ:
     def contains(self, v) -> bool:
         return all(x == 0 for x in self.reduce(v))
 
-    def contains_subspace(self, other: "SubspaceQ") -> bool:
-        return all(self.contains(row) for row in other.basis)
-
     def coefficients_of(self, v):
         """Coefficients of v in the RREF basis, or None if v is outside."""
         w = [as_fraction(x) for x in v]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import InvalidFixtureError
+from .errors import InvalidFixtureError, UnsupportedInputError
 from .exactmath import parse_scalar
 from .infraflat import BieberbachGroup, InfraEndo, validate_bieberbach, validate_endo
 from .nilclass2 import (
@@ -69,6 +69,19 @@ class NilFixture:
     endos: dict[str, NilEndo]
 
     kind = "nil"
+
+    def pick_endo(self, name=None) -> str:
+        """The map called `name`, or the only map when no name is given."""
+        names = sorted(self.endos)
+        if name is None:
+            if len(names) == 1:
+                return names[0]
+            raise UnsupportedInputError(
+                f"fixture has several maps {names}; pick one with --endo"
+            )
+        if name not in self.endos:
+            raise UnsupportedInputError(f"no map named {name!r}; available: {names}")
+        return name
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,8 @@ from .exactmath import (
     coset_representatives,
     det,
     freeze_matrix,
+    geometric_sum,
     hnf_basis,
-    invert_rational,
     is_integer_matrix,
     mat_equal,
     mat_identity,
@@ -34,7 +34,7 @@ from .exactmath import (
     solve_integer,
 )
 from .orbits import Classification, iterate_orbit
-from .torus import TorusEndo, classify, relative_order
+from .torus import TorusEndo, classify, lattice_coordinates, relative_order
 
 
 @dataclass(frozen=True)
@@ -133,12 +133,7 @@ def validate_bieberbach(dim: int, reps) -> BieberbachGroup:
     for idx, rep in enumerate(parsed):
         if mat_equal(list(map(list, rep.F)), mat_identity(dim)):
             continue
-        r = _rep_order(rep.F, order)
-        P = mat_identity(dim)
-        power = mat_identity(dim)
-        for _ in range(r - 1):
-            power = mat_mul(power, rep.F)
-            P = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(P, power)]
+        P = geometric_sum(rep.F, _rep_order(rep.F, order))
         rhs = [-x for x in mat_vec(P, list(rep.t))]
         if solve_integer(P, rhs) is not None:
             raise InvalidFixtureError(
@@ -251,11 +246,7 @@ def holonomy_power_cover(group: BieberbachGroup) -> TorusCover:
     order = group.holonomy_order
     vectors = []
     for rep in group.reps:
-        P = mat_identity(n)
-        power = mat_identity(n)
-        for _ in range(order - 1):
-            power = mat_mul(power, rep.F)
-            P = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(P, power)]
+        P = geometric_sum(rep.F, order)
         pt = mat_vec(P, list(rep.t))
         if any(Fraction(x).denominator != 1 for x in pt):
             raise ConsistencyError("power of a group element is not integral", payload=rep)
@@ -280,23 +271,6 @@ def _sample_points(dim: int, max_den: int):
     for m in range(1, max_den + 1):
         for tup in itertools.product(range(m), repeat=dim):
             yield [Fraction(a, m) for a in tup]
-
-
-def _conjugated_torus_endo(cover: TorusCover, endo: InfraEndo):
-    """Upstairs dynamics on R^n/L in lattice coordinates, plus the coordinate
-    change x = B u."""
-    n = cover.group.dim
-    H = [list(r) for r in cover.lattice_rows]
-    B = [[Fraction(H[j][i]) for j in range(n)] for i in range(n)]
-    Binv = invert_rational(B)
-    A = [list(r) for r in endo.linear]
-    A_up = mat_mul(mat_mul(Binv, A), B)
-    if not is_integer_matrix(A_up):
-        raise ConsistencyError(
-            "affine map does not preserve the power lattice", payload=endo
-        )
-    b_up = mat_vec(Binv, list(endo.translation))
-    return TorusEndo([[int(x) for x in row] for row in A_up], b_up), Binv
 
 
 def _fitting_fiber(group: BieberbachGroup, x):
@@ -361,7 +335,7 @@ def classify_infra(
             strong = True  # invertible: periodic fibers are periodic throughout
         else:
             pc = holonomy_power_cover(group)
-            lift, Binv = _conjugated_torus_endo(pc, endo)
+            lift, Binv = lattice_coordinates(pc.lattice_rows, endo.linear, endo.translation)
             fiber = _power_cover_fiber(group, pc, xs)
             fiber_cls = [classify(lift, mat_vec(Binv, list(p)))[0] for p in fiber]
             expected_size = group.holonomy_order * pc.index

@@ -37,7 +37,7 @@ from .exactmath import (
     rational_row_hnf,
     vec_is_zero,
 )
-from .orbits import Classification, OrbitResult, iterate_orbit, sweep_orbits
+from .orbits import Classification, OrbitResult, iterate_orbit
 
 
 @dataclass(frozen=True)
@@ -548,6 +548,17 @@ def apply_endo(delta: NilEndo, g: MalcevElement) -> MalcevElement:
     return MalcevElement(delta.group, mat_vec([list(r) for r in delta.matrix], list(g.coords)))
 
 
+def coset_step(delta: NilEndo, N: LatticeSubgroup):
+    """The endomorphism on cosets N g, acting on the coordinates of their
+    canonical representatives."""
+
+    def step_coords(coords):
+        elem = MalcevElement(N.group, coords)
+        return N.canonical_rep(apply_endo(delta, elem)).coords
+
+    return step_coords
+
+
 def classify_nil(
     delta: NilEndo, N: LatticeSubgroup, g: MalcevElement
 ) -> tuple[Classification, OrbitResult]:
@@ -558,27 +569,12 @@ def classify_nil(
     hash-based cycle detection terminates.
     """
     start = N.canonical_rep(g)
-
-    def step_coords(coords):
-        elem = MalcevElement(N.group, coords)
-        return N.canonical_rep(apply_endo(delta, elem)).coords
-
-    mu, lam, path = iterate_orbit(step_coords, start.coords)
+    mu, lam, path = iterate_orbit(coset_step(delta, N), start.coords)
     elems = [MalcevElement(N.group, c) for c in path]
     trace = tuple(relative_order(N, e) for e in elems)
     cls = Classification(mu, lam, trace)
     orbit = OrbitResult(mu, lam, tuple(elems[:mu]), tuple(elems[mu:]))
     return cls, orbit
-
-
-def sweep_lattice_points(delta: NilEndo, N: LatticeSubgroup, reps):
-    """(preperiod, period) per canonical representative, shared across orbits."""
-
-    def step_coords(coords):
-        elem = MalcevElement(N.group, coords)
-        return N.canonical_rep(apply_endo(delta, elem)).coords
-
-    return sweep_orbits(step_coords, [r.coords for r in reps]), step_coords
 
 
 def order_coprime_to_det(delta: NilEndo, N: LatticeSubgroup, g: MalcevElement) -> bool:

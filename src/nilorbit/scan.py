@@ -17,23 +17,16 @@ from multiprocessing import Pool
 from .errors import UnsupportedInputError
 from .exactmath import prime_support
 from .fixtures import NilFixture, TorusFixture
-from .nilclass2 import (
-    MalcevElement,
-    relative_order as nil_relative_order,
-    sweep_lattice_points,
-)
-from .orbits import Classification
-from .torus import (
-    TranslationVerdict,
-    sweep_denominator,
-    translation_periodicity,
-)
+from .nilclass2 import MalcevElement, coset_step, relative_order as nil_relative_order
+from .orbits import Classification, sweep_orbits
+from .torus import TranslationVerdict, grid_step, translation_periodicity
 
 SCHEMA_VERSION = 1
 
 
 def _exact_order_states(m: int, n: int):
-    """Numerator tuples of the points with relative order exactly m."""
+    """Numerator tuples a with gcd(m, a) = 1: on the torus, the points of
+    relative order exactly m."""
     for tup in itertools.product(range(m), repeat=n):
         if gcd(m, *tup) == 1:
             yield tup
@@ -43,80 +36,119 @@ def _point_str(nums, m: int) -> str:
     return ",".join(str(Fraction(a, m)) for a in nums)
 
 
-def _torus_denominator_table(payload):
-    """Worker: classify every point of relative order exactly m.
+class _TorusGrid:
+    """Torus maps on the (1/m)-grid: states are numerator tuples mod m."""
 
-    Returns (m, rows, cycle_checks) where cycle_checks reports whether the
-    relative order (and its prime support) is constant along every cycle of
-    the full (1/m)-grid.
+    checks_constant_order = True
+
+    def __init__(self, fixture: TorusFixture, endo_name, m: int):
+        self.m = m
+        self.dim = fixture.endo.dim
+        self.step = grid_step(fixture.endo, m)
+
+    @staticmethod
+    def describe(fixture: TorusFixture, endo_name):
+        """(report name, map description, |determinant|, expectations)."""
+        endo = fixture.endo
+        map_desc = {"A": [list(r) for r in endo.linear], "b": [str(x) for x in endo.translation]}
+        return fixture.name, map_desc, abs(endo.determinant), fixture.expect
+
+    def encode(self, nums):
+        return nums
+
+    def order(self, state) -> int:
+        return self.m // gcd(self.m, *state)
+
+    point_order = order
+
+
+class _NilCosets:
+    """Nil maps on cosets of the points a/m in exponential coordinates:
+    states are the coordinates of canonical coset representatives."""
+
+    checks_constant_order = False
+
+    def __init__(self, fixture: NilFixture, endo_name: str, m: int):
+        self.m = m
+        self.dim = fixture.group.dim
+        self.group = fixture.group
+        self.lattice = fixture.lattice
+        self.step = coset_step(fixture.endos[endo_name], fixture.lattice)
+
+    @staticmethod
+    def describe(fixture: NilFixture, endo_name: str):
+        endo = fixture.endos[endo_name]
+        map_desc = {"matrix": [[str(x) for x in row] for row in endo.matrix]}
+        # |det| is the index of the image lattice, so it is an integer
+        return f"{fixture.name}:{endo_name}", map_desc, int(abs(endo.determinant)), {}
+
+    def _point(self, nums) -> MalcevElement:
+        return MalcevElement(self.group, [Fraction(a, self.m) for a in nums])
+
+    def encode(self, nums):
+        return self.lattice.canonical_rep(self._point(nums)).coords
+
+    def order(self, state) -> int:
+        return nil_relative_order(self.lattice, MalcevElement(self.group, state))
+
+    def point_order(self, nums) -> int:
+        # the grid point itself: its coset representative can have another order
+        return nil_relative_order(self.lattice, self._point(nums))
+
+
+def _check_bound(command: str, bound: int):
+    if bound < 1:
+        raise UnsupportedInputError(f"{command} needs a bound of at least 1, got {bound}")
+
+
+def _family(fixture, endo_name, command: str):
+    """The adapter class and map name for a scan or density run."""
+    if isinstance(fixture, TorusFixture):
+        if not fixture.endo.is_linear:
+            raise UnsupportedInputError(f"{command} needs a linear fixture (zero translation)")
+        return _TorusGrid, None
+    if isinstance(fixture, NilFixture):
+        return _NilCosets, fixture.pick_endo(endo_name)
+    raise UnsupportedInputError(
+        f"{command} supports linear torus and nil fixtures, not {fixture.kind!r}"
+    )
+
+
+def _denominator_table(payload):
+    """Worker: classify every grid point a/m with gcd(m, a) = 1.
+
+    The payload names the adapter class, so the step closure is built here
+    and the payload pickles for --workers.  Returns (m, rows, order_bad,
+    support_bad): the first periodic point whose successor has another
+    relative order, or another prime support of it.
     """
-    endo, m = payload
-    n = endo.dim
-    M, step_int, memo = sweep_denominator(endo, m)
-    scale = M // m
-
+    family, fixture, endo_name, m = payload
+    grid = family(fixture, endo_name, m)
+    points = [(nums, grid.encode(nums)) for nums in _exact_order_states(m, grid.dim)]
+    memo = sweep_orbits(grid.step, [state for _, state in points])
     rows = []
-    for tup in _exact_order_states(m, n):
-        state = tuple(scale * x for x in tup)
-        pre, per = memo[state]
-        rows.append(
-            {
-                "point": _point_str(tup, m),
-                "verdict": "periodic" if pre == 0 else "eventually_periodic",
-                "preperiod": pre,
-                "period": per,
-                "relative_order": m,
-            }
-        )
-
     order_bad = None
     support_bad = None
-    for state, (pre, per) in memo.items():
-        if pre != 0:
-            continue
-        o1 = M // gcd(M, *state) if state else 1
-        nxt = step_int(state)
-        o2 = M // gcd(M, *nxt) if nxt else 1
-        if o1 != o2 and order_bad is None:
-            order_bad = _point_str(state, M)
-        if prime_support(o1) != prime_support(o2) and support_bad is None:
-            support_bad = _point_str(state, M)
-    return m, rows, {"order": order_bad, "support": support_bad}
-
-
-def _nil_denominator_table(payload):
-    fixture, endo_name, m = payload
-    group = fixture.group
-    lattice = fixture.lattice
-    endo = fixture.endos[endo_name]
-    n = group.dim
-    samples = [
-        MalcevElement(group, [Fraction(a, m) for a in tup])
-        for tup in _exact_order_states(m, n)
-    ]
-    # classification is coset-level: orbits must start at canonical representatives
-    reps = [lattice.canonical_rep(g) for g in samples]
-    memo, step_coords = sweep_lattice_points(endo, lattice, reps)
-    rows = []
-    support_bad = None
-    for sample, rep in zip(samples, reps):
-        pre, per = memo[rep.coords]
-        order = nil_relative_order(lattice, sample)
+    for nums, state in points:
+        pre, per = memo[state]
+        point = _point_str(nums, m)
         rows.append(
             {
-                "point": ",".join(str(c) for c in sample.coords),
+                "point": point,
                 "verdict": "periodic" if pre == 0 else "eventually_periodic",
                 "preperiod": pre,
                 "period": per,
-                "relative_order": order,
+                "relative_order": grid.point_order(nums),
             }
         )
-        if pre == 0 and support_bad is None:
-            rep_order = nil_relative_order(lattice, rep)
-            succ = MalcevElement(group, step_coords(rep.coords))
-            if prime_support(rep_order) != prime_support(nil_relative_order(lattice, succ)):
-                support_bad = rows[-1]["point"]
-    return m, rows, {"order": None, "support": support_bad}
+        if pre == 0:
+            o1 = grid.order(state)
+            o2 = grid.order(grid.step(state))
+            if o1 != o2 and order_bad is None:
+                order_bad = point
+            if prime_support(o1) != prime_support(o2) and support_bad is None:
+                support_bad = point
+    return m, rows, order_bad, support_bad
 
 
 def _run_jobs(worker, payloads, workers: int):
@@ -138,142 +170,72 @@ def scan_report(fixture, max_denominator: int, workers: int = 1, endo_name=None)
     """Classify every point with relative order up to the bound and check the
     structural guarantees (termination, coprime-order sufficiency, order
     invariants on cycles, fixture expectations)."""
-    if isinstance(fixture, TorusFixture):
-        return _scan_torus(fixture, max_denominator, workers)
-    if isinstance(fixture, NilFixture):
-        names = sorted(fixture.endos)
-        if endo_name is None:
-            if len(names) != 1:
-                raise UnsupportedInputError(
-                    f"fixture has several maps {names}; pick one with --endo"
-                )
-            endo_name = names[0]
-        if endo_name not in fixture.endos:
-            raise UnsupportedInputError(f"no map named {endo_name!r} in fixture")
-        return _scan_nil(fixture, max_denominator, workers, endo_name)
-    raise UnsupportedInputError(
-        f"scan supports linear torus and nil fixtures, not {fixture.kind!r}"
-    )
-
-
-def _scan_torus(fixture: TorusFixture, max_denominator: int, workers: int) -> dict:
-    endo = fixture.endo
-    if not endo.is_linear:
-        raise UnsupportedInputError("scan needs a linear fixture (zero translation)")
-    D = endo.determinant
-    payloads = [(endo, m) for m in range(1, max_denominator + 1)]
-    results = _run_jobs(_torus_denominator_table, payloads, workers)
+    _check_bound("scan", max_denominator)
+    family, endo_name = _family(fixture, endo_name, "scan")
+    name, map_desc, D, expect = family.describe(fixture, endo_name)
+    payloads = [(family, fixture, endo_name, m) for m in range(1, max_denominator + 1)]
+    results = _run_jobs(_denominator_table, payloads, workers)
 
     tables = {}
     all_rows = []
     order_bad = None
     support_bad = None
-    for m, rows, checks in results:
+    for m, rows, table_order_bad, table_support_bad in results:
         tables[str(m)] = rows
         all_rows.extend(rows)
-        order_bad = order_bad or checks["order"]
-        support_bad = support_bad or checks["support"]
+        order_bad = order_bad or table_order_bad
+        support_bad = support_bad or table_support_bad
 
     assertions = {
         "every_point_classified": _assertion(True, len(all_rows)),
-        "constant_order_on_cycles": _assertion(order_bad is None, len(all_rows), order_bad),
         "constant_prime_support_on_cycles": _assertion(
             support_bad is None, len(all_rows), support_bad
         ),
     }
+    if family.checks_constant_order:
+        assertions["constant_order_on_cycles"] = _assertion(
+            order_bad is None, len(all_rows), order_bad
+        )
     if D != 0:
         bad = None
         checked = 0
         for row in all_rows:
-            if gcd(abs(D), row["relative_order"]) == 1:
+            if gcd(D, row["relative_order"]) == 1:
                 checked += 1
                 if row["verdict"] != "periodic" and bad is None:
                     bad = row
         assertions["coprime_order_implies_periodic"] = _assertion(bad is None, checked, bad)
-    if fixture.expect.get("periodic_iff_order_coprime_to_det"):
+    if expect.get("periodic_iff_order_coprime_to_det"):
         bad = None
         for row in all_rows:
-            expected = gcd(abs(D), row["relative_order"]) == 1
+            expected = gcd(D, row["relative_order"]) == 1
             if (row["verdict"] == "periodic") != expected:
                 bad = row
                 break
         assertions["periodic_iff_order_coprime_to_det"] = _assertion(
             bad is None, len(all_rows), bad
         )
-    if fixture.expect.get("periodic_point_every_order"):
+    if expect.get("periodic_point_every_order"):
         found = {row["relative_order"] for row in all_rows if row["verdict"] == "periodic"}
         missing = [s for s in range(1, max_denominator + 1) if s not in found]
         assertions["periodic_point_every_order"] = _assertion(
             not missing, max_denominator, {"missing_orders": missing} if missing else None
         )
 
-    return _finish_report(
-        kind="scan",
-        fixture_name=fixture.name,
-        map_desc={"A": [list(r) for r in endo.linear], "b": [str(x) for x in endo.translation]},
-        max_denominator=max_denominator,
-        tables=tables,
-        assertions=assertions,
-        rows=all_rows,
-    )
-
-
-def _scan_nil(fixture: NilFixture, max_denominator: int, workers: int, endo_name: str) -> dict:
-    endo = fixture.endos[endo_name]
-    D = endo.determinant
-    payloads = [(fixture, endo_name, m) for m in range(1, max_denominator + 1)]
-    results = _run_jobs(_nil_denominator_table, payloads, workers)
-
-    tables = {}
-    all_rows = []
-    support_bad = None
-    for m, rows, checks in results:
-        tables[str(m)] = rows
-        all_rows.extend(rows)
-        support_bad = support_bad or checks["support"]
-
-    assertions = {
-        "every_point_classified": _assertion(True, len(all_rows)),
-        "constant_prime_support_on_cycles": _assertion(
-            support_bad is None, len(all_rows), support_bad
-        ),
-    }
-    if D != 0:
-        bad = None
-        checked = 0
-        for row in all_rows:
-            if gcd(int(abs(D)), row["relative_order"]) == 1:
-                checked += 1
-                if row["verdict"] != "periodic" and bad is None:
-                    bad = row
-        assertions["coprime_order_implies_periodic"] = _assertion(bad is None, checked, bad)
-
-    return _finish_report(
-        kind="scan",
-        fixture_name=f"{fixture.name}:{endo_name}",
-        map_desc={"matrix": [[str(x) for x in row] for row in endo.matrix]},
-        max_denominator=max_denominator,
-        tables=tables,
-        assertions=assertions,
-        rows=all_rows,
-    )
-
-
-def _finish_report(kind, fixture_name, map_desc, max_denominator, tables, assertions, rows):
-    periodic = sum(1 for r in rows if r["verdict"] == "periodic")
+    periodic = sum(1 for r in all_rows if r["verdict"] == "periodic")
     return {
         "schema_version": SCHEMA_VERSION,
-        "kind": kind,
-        "fixture": fixture_name,
+        "kind": "scan",
+        "fixture": name,
         "map": map_desc,
         "max_denominator": max_denominator,
         "tables": tables,
         "assertions": assertions,
         "ok": all(a["passed"] for a in assertions.values()),
         "summary": {
-            "points": len(rows),
+            "points": len(all_rows),
             "periodic": periodic,
-            "eventually_periodic_not_periodic": len(rows) - periodic,
+            "eventually_periodic_not_periodic": len(all_rows) - periodic,
         },
     }
 
@@ -281,6 +243,7 @@ def _finish_report(kind, fixture_name, map_desc, max_denominator, tables, assert
 def density_report(fixture, m_max: int, endo_name=None) -> dict:
     """Check that every 1/m-cell contains a verified periodic point, for each
     admissible m (coprime to the determinant)."""
+    _check_bound("density", m_max)
     if isinstance(fixture, TorusFixture):
         endo = fixture.endo
         if endo.is_pure_translation and endo.has_irrational_translation:
@@ -295,82 +258,31 @@ def density_report(fixture, m_max: int, endo_name=None) -> dict:
                 "cells": {},
                 "ok": True,
             }
-        if not endo.is_linear:
-            raise UnsupportedInputError("density sweep needs a linear fixture")
-        D = endo.determinant
-        n = endo.dim
-        cells = {}
-        ok = True
-        for m in range(1, m_max + 1):
-            if D != 0 and gcd(abs(D), m) != 1:
-                cells[str(m)] = {"admissible": False}
-                continue
-            M, _, memo = sweep_denominator(endo, m)
-            scale = M // m
-            missing = []
-            for tup in itertools.product(range(m), repeat=n):
-                state = tuple(scale * x for x in tup)
-                if memo[state][0] != 0:
-                    missing.append(_point_str(tup, m))
-            cells[str(m)] = {
-                "admissible": True,
-                "cells": m**n,
-                "all_cells_hit": not missing,
-                "missing": missing,
-            }
-            ok = ok and not missing
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "density",
-            "fixture": fixture.name,
-            "branch": "periodic_grid",
-            "cells": cells,
-            "ok": ok,
+    family, endo_name = _family(fixture, endo_name, "density")
+    name, _, D, _ = family.describe(fixture, endo_name)
+    cells = {}
+    for m in range(1, m_max + 1):
+        if D != 0 and gcd(D, m) != 1:
+            cells[str(m)] = {"admissible": False}
+            continue
+        grid = family(fixture, endo_name, m)
+        starts = {nums: grid.encode(nums) for nums in itertools.product(range(m), repeat=grid.dim)}
+        memo = sweep_orbits(grid.step, starts.values())
+        missing = [_point_str(nums, m) for nums, state in starts.items() if memo[state][0] != 0]
+        cells[str(m)] = {
+            "admissible": True,
+            "cells": m**grid.dim,
+            "all_cells_hit": not missing,
+            "missing": missing,
         }
-    if isinstance(fixture, NilFixture):
-        names = sorted(fixture.endos)
-        if endo_name is None:
-            endo_name = names[0] if len(names) == 1 else None
-            if endo_name is None:
-                raise UnsupportedInputError(
-                    f"fixture has several maps {names}; pick one with --endo"
-                )
-        endo = fixture.endos[endo_name]
-        D = endo.determinant
-        n = fixture.group.dim
-        cells = {}
-        ok = True
-        for m in range(1, m_max + 1):
-            if D != 0 and gcd(int(abs(D)), m) != 1:
-                cells[str(m)] = {"admissible": False}
-                continue
-            samples = [
-                MalcevElement(fixture.group, [Fraction(a, m) for a in tup])
-                for tup in itertools.product(range(m), repeat=n)
-            ]
-            reps = [fixture.lattice.canonical_rep(g) for g in samples]
-            memo, _ = sweep_lattice_points(endo, fixture.lattice, reps)
-            missing = [
-                ",".join(str(c) for c in sample.coords)
-                for sample, rep in zip(samples, reps)
-                if memo[rep.coords][0] != 0
-            ]
-            cells[str(m)] = {
-                "admissible": True,
-                "cells": m**n,
-                "all_cells_hit": not missing,
-                "missing": missing,
-            }
-            ok = ok and not missing
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "density",
-            "fixture": f"{fixture.name}:{endo_name}",
-            "branch": "periodic_grid",
-            "cells": cells,
-            "ok": ok,
-        }
-    raise UnsupportedInputError(f"density supports torus and nil fixtures, not {fixture.kind!r}")
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "density",
+        "fixture": name,
+        "branch": "periodic_grid",
+        "cells": cells,
+        "ok": all(cell.get("all_cells_hit", True) for cell in cells.values()),
+    }
 
 
 def render_report(report: dict) -> str:

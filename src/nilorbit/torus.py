@@ -163,15 +163,30 @@ def step(f: TorusEndo, x: TorusPoint) -> TorusPoint:
     return TorusPoint(tuple(m + b for m, b in zip(moved, f.translation)))
 
 
-def _int_dynamics(f: TorusEndo, q) -> tuple[int, tuple[int, ...], list[list[int]], list[int]]:
+def grid_step(f: TorusEndo, M: int):
+    """The map on numerators of the grid (1/M)Z^n: x -> (A x + M b) mod M.
+
+    M must be a multiple of the relative order of the translation.
+    """
+    n = f.dim
+    A = [list(r) for r in f.linear]
+    c = [int(x * M) % M for x in f.translation_fractions()]
+
+    def step_int(state):
+        return tuple(
+            (sum(A[i][j] * state[j] for j in range(n)) + c[i]) % M for i in range(n)
+        )
+
+    return step_int
+
+
+def _int_dynamics(f: TorusEndo, q):
     """Scale the affine map onto the integer grid (1/m)Z^n: returns
-    (m, start state, A, c) with the dynamics x -> (A x + c) mod m."""
-    b = f.translation_fractions()
+    (m, start state, grid_step(f, m))."""
     qs = [Fraction(x) % 1 for x in q]
-    m = lcm(relative_order(qs), relative_order(b))
+    m = lcm(relative_order(qs), relative_order(f.translation_fractions()))
     start = tuple(int(x * m) % m for x in qs)
-    c = [int(x * m) % m for x in b]
-    return m, start, [list(r) for r in f.linear], c
+    return m, start, grid_step(f, m)
 
 
 def _grid_order(m: int, state: tuple[int, ...]) -> int:
@@ -193,14 +208,7 @@ def classify(f: TorusEndo, q) -> tuple[Classification, OrbitResult]:
     if len(q) != f.dim:
         raise ValueError(f"point has length {len(q)}, map has dimension {f.dim}")
     q = _require_rational_point(q)
-    m, start, A, c = _int_dynamics(f, q)
-    n = f.dim
-
-    def step_int(state):
-        return tuple(
-            (sum(A[i][j] * state[j] for j in range(n)) + c[i]) % m for i in range(n)
-        )
-
+    m, start, step_int = _int_dynamics(f, q)
     mu, lam, path = iterate_orbit(step_int, start)
     points = [TorusPoint(tuple(Fraction(a, m) for a in s)) for s in path]
     trace = tuple(_grid_order(m, s) for s in path)
@@ -212,25 +220,15 @@ def classify(f: TorusEndo, q) -> tuple[Classification, OrbitResult]:
 def sweep_denominator(f: TorusEndo, m: int):
     """(preperiod, period) for every grid point with coordinates in (1/m)Z^n.
 
-    Returns (modulus M, dict state -> (preperiod, period)) where states are
-    integer tuples over modulus M (M = m unless the translation needs a finer
-    grid).  Work is shared across orbits, so the whole grid costs O(M^n).
+    Returns (modulus M, step, dict state -> (preperiod, period)) where states
+    are integer tuples over modulus M (M = m unless the translation needs a
+    finer grid).  Work is shared across orbits, so the whole grid costs O(M^n).
     """
-    b = f.translation_fractions()
-    M = lcm(m, relative_order(b))
+    M = lcm(m, relative_order(f.translation_fractions()))
     scale = M // m
-    n = f.dim
-    A = [list(r) for r in f.linear]
-    c = [int(x * M) % M for x in b]
-
-    def step_int(state):
-        return tuple(
-            (sum(A[i][j] * state[j] for j in range(n)) + c[i]) % M for i in range(n)
-        )
-
-    states = [tuple(scale * x for x in t) for t in itertools.product(range(m), repeat=n)]
-    memo = sweep_orbits(step_int, states)
-    return M, step_int, memo
+    step_int = grid_step(f, M)
+    states = [tuple(scale * x for x in t) for t in itertools.product(range(m), repeat=f.dim)]
+    return M, step_int, sweep_orbits(step_int, states)
 
 
 def fixed_point(f: TorusEndo):
@@ -436,6 +434,23 @@ def equalizer_membership(phi, psi, v) -> bool:
     return member
 
 
+def lattice_coordinates(rows, A, b):
+    """The affine map x -> A x + b on R^n/L in lattice coordinates.
+
+    L is spanned by the integer `rows`; returns (map on u, B^-1) for the
+    coordinate change x = B u with B = rows^T.  A must preserve L, so the
+    conjugated linear part is integral.
+    """
+    n = len(A)
+    B = [[Fraction(rows[j][i]) for j in range(n)] for i in range(n)]
+    Binv = invert_rational(B)
+    A_up = mat_mul(mat_mul(Binv, [list(r) for r in A]), B)
+    if not is_integer_matrix(A_up):
+        raise ConsistencyError("conjugated linear part is not integral", payload=A_up)
+    b_up = mat_vec(Binv, list(b))
+    return TorusEndo([[int(x) for x in row] for row in A_up], b_up), Binv
+
+
 @dataclass(frozen=True)
 class CoverTransferReport:
     """Classification transfer along a finite torus self-cover."""
@@ -469,14 +484,7 @@ def cover_transfer(L_basis, f_up: TorusEndo, f_down: TorusEndo, q) -> CoverTrans
             raise LatticeError(
                 "lift mismatch: linear part does not preserve the sublattice"
             )
-    # classify upstairs through the coordinate change x = B u, B = H^T
-    B = [[Fraction(H[j][i]) for j in range(n)] for i in range(n)]
-    Binv = invert_rational(B)
-    A_up = mat_mul(mat_mul(Binv, A), B)
-    if not is_integer_matrix(A_up):
-        raise ConsistencyError("conjugated linear part is not integral", payload=A_up)
-    b_up = mat_vec(Binv, list(f_down.translation_fractions()))
-    f_conj = TorusEndo([[int(x) for x in row] for row in A_up], b_up)
+    f_conj, Binv = lattice_coordinates(H, A, f_down.translation_fractions())
 
     qs = [Fraction(x) % 1 for x in q]
     reps = []

@@ -334,20 +334,25 @@ def test_criterion_13_density():
 
 
 def test_criterion_14_deterministic_reports(tmp_path):
-    outputs = []
-    for workers in (1, 2, 8):
-        target = tmp_path / f"scan_w{workers}.json"
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "nilorbit", "scan",
-                "--fixture", str(FIXTURES / "a1.json"),
-                "--max-den", "6",
-                "--workers", str(workers),
-                "--out", str(target),
-            ],
-            capture_output=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(target.read_bytes())
-    ok = outputs[0] == outputs[1] == outputs[2]
-    report(14, ok, "scan output byte-identical for 1, 2, 8 workers")
+    ok = True
+    cases = {
+        "a1": ["--fixture", str(FIXTURES / "a1.json"), "--max-den", "6"],
+        "heisenberg": ["--fixture", str(FIXTURES / "heisenberg.json"),
+                       "--endo", "grading_2", "--max-den", "3"],
+    }
+    for name, args in cases.items():
+        outputs = []
+        for workers in (1, 2, 8):
+            target = tmp_path / f"scan_{name}_w{workers}.json"
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "nilorbit", "scan", *args,
+                    "--workers", str(workers),
+                    "--out", str(target),
+                ],
+                capture_output=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(target.read_bytes())
+        ok = ok and outputs[0] == outputs[1] == outputs[2]
+    report(14, ok, "torus and nil scan output byte-identical for 1, 2, 8 workers")

@@ -14,6 +14,7 @@ from nilorbit.fixtures import (
     load_fixture,
     shipped,
 )
+from nilorbit.nilclass2 import MalcevElement, classify_nil, relative_order as nil_relative_order
 from nilorbit.torus import classify
 
 FIXTURES = fixtures_dir()
@@ -120,6 +121,33 @@ def test_cli_exit_code_unsupported_input():
     assert out.returncode == 3
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("classify", ["--point", "1/2,0,0"]),
+        ("scan", ["--max-den", "3"]),
+        ("density", ["--m-max", "3"]),
+    ],
+)
+def test_cli_unknown_endo_exits_unsupported(command, extra):
+    fixture = str(FIXTURES / "heisenberg.json")
+    out = run_cli(command, "--fixture", fixture, "--endo", "nope", *extra)
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert "no map named 'nope'" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "command, flag, bound",
+    [("scan", "--max-den", "0"), ("scan", "--max-den", "-2"), ("density", "--m-max", "-1")],
+)
+def test_cli_rejects_bound_below_one(command, flag, bound):
+    out = run_cli(command, "--fixture", str(FIXTURES / "a1.json"), flag, bound)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+
+
 # --- scan and density commands -------------------------------------------------------
 
 def test_cli_scan_writes_report(tmp_path):
@@ -139,16 +167,27 @@ def test_cli_scan_writes_report(tmp_path):
 
 
 def test_cli_scan_verdicts_match_library():
-    fx = shipped("a1")
-    out = run_cli("scan", "--fixture", str(FIXTURES / "a1.json"), "--max-den", "4")
-    report = json.loads(out.stdout)
-    for rows in report["tables"].values():
-        for row in rows:
-            point = [F(p) for p in row["point"].split(",")]
-            cls, _ = classify(fx.endo, point)
-            assert row["verdict"] == ("periodic" if cls.periodic else "eventually_periodic")
-            assert row["preperiod"] == cls.preperiod
-            assert row["period"] == cls.period
+    for name, endo, bound in [
+        ("a1", None, 4), ("heisenberg", "automorphism", 3), ("heisenberg", "grading_2", 3)
+    ]:
+        fx = shipped(name)
+        args = ["--endo", endo] if endo else []
+        out = run_cli(
+            "scan", "--fixture", str(FIXTURES / f"{name}.json"), "--max-den", str(bound), *args
+        )
+        report = json.loads(out.stdout)
+        for rows in report["tables"].values():
+            for row in rows:
+                point = [F(p) for p in row["point"].split(",")]
+                if endo is None:
+                    cls, _ = classify(fx.endo, point)
+                else:
+                    g = MalcevElement(fx.group, point)
+                    cls, _ = classify_nil(fx.endos[endo], fx.lattice, g)
+                    assert row["relative_order"] == nil_relative_order(fx.lattice, g)
+                assert row["verdict"] == ("periodic" if cls.periodic else "eventually_periodic")
+                assert row["preperiod"] == cls.preperiod
+                assert row["period"] == cls.period
 
 
 def test_cli_density(tmp_path):
