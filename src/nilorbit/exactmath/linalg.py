@@ -91,14 +91,6 @@ def mat_transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
 def vec_is_zero(u) -> bool:
     return all(x == 0 for x in u)
 

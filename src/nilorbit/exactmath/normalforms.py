@@ -8,7 +8,7 @@ downstream classification transcripts are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from .linalg import mat_identity, mat_shape, mat_vec
 from .scalars import is_integral, quad_parts
@@ -240,15 +240,6 @@ def reduce_mod_lattice(basis, x):
         if q:
             w = [a - q * b for a, b in zip(w, basis[i])]
     return w
-
-
-def lattice_index(basis_rows) -> int:
-    """Index of the integer lattice spanned by the rows inside Z^n."""
-    H = hnf_basis(basis_rows)
-    n = len(basis_rows[0])
-    if len(H) < n:
-        raise LatticeError("sublattice has infinite index (rank deficient)")
-    return prod(H[i][i] for i in range(n))
 
 
 def coset_representatives(basis) -> list[tuple[int, ...]]:

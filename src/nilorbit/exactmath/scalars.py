@@ -209,10 +209,6 @@ def parse_scalar(text) -> Scalar:
     return Fraction(str(text))
 
 
-def format_fraction(q: Fraction) -> str:
-    return str(Fraction(q))
-
-
 def denominator_lcm(values) -> int:
     """lcm of the denominators of a sequence of rationals."""
     out = 1

@@ -56,14 +56,6 @@ class SubspaceQ:
         rows = rref(vectors)
         return cls(ambient_dim, tuple(tuple(r) for r in rows))
 
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "SubspaceQ":
-        return cls(ambient_dim, ())
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "SubspaceQ":
-        return cls.from_vectors(ambient_dim, mat_identity(ambient_dim))
-
     @property
     def dim(self) -> int:
         return len(self.basis)

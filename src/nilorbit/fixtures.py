@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import InvalidFixtureError, UnsupportedInputError
+from .errors import InvalidFixtureError, LatticeError, UnsupportedInputError
 from .exactmath import parse_scalar
 from .infraflat import BieberbachGroup, InfraEndo, validate_bieberbach, validate_endo
 from .nilclass2 import (
@@ -32,7 +32,7 @@ from .nilclass2 import (
     make_endo,
     subgroup_generated,
 )
-from .torus import TorusEndo
+from .torus import TorusEndo, cover_lattice
 
 
 def fixtures_dir() -> Path:
@@ -139,12 +139,15 @@ def build_fixture(doc: dict, default_name: str = "inline"):
         if kind == "cover":
             endo = TorusEndo(_parse_int_matrix(doc["A"]), _parse_vector(doc["b"]))
             rows = tuple(tuple(int(x) for x in row) for row in doc["L_basis"])
+            cover_lattice(rows, endo.linear)
             return CoverFixture(name, description, endo, rows)
         if kind == "nil":
             m = int(doc["dim"])
             tensor = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
             for key, vec in doc.get("bracket", {}).items():
                 i, j = (int(part) for part in key.split(","))
+                if not (0 <= i < m and 0 <= j < m):
+                    raise InvalidFixtureError(f"bracket key {key!r} is outside 0..{m - 1}")
                 value = [Fraction(str(x)) for x in vec]
                 tensor[i][j] = value
                 tensor[j][i] = [-x for x in value]
@@ -174,7 +177,7 @@ def build_fixture(doc: dict, default_name: str = "inline"):
             return InfraFixture(name, description, group, endo)
     except InvalidFixtureError:
         raise
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError, LatticeError) as exc:
         raise InvalidFixtureError(f"malformed {kind} fixture: {exc}") from exc
     raise InvalidFixtureError(f"unknown fixture kind {kind!r}")
 

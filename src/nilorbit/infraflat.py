@@ -8,7 +8,6 @@ they normalize the group, and classification happens through torus covers.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +17,6 @@ from .errors import (
     UnsupportedInputError,
 )
 from .exactmath import (
-    coset_representatives,
     det,
     freeze_matrix,
     geometric_sum,
@@ -29,12 +27,11 @@ from .exactmath import (
     mat_mul,
     mat_shape,
     mat_vec,
-    reduce_mod_lattice,
     row_span_contains,
     solve_integer,
 )
-from .orbits import Classification, iterate_orbit
-from .torus import TorusEndo, classify, lattice_coordinates, relative_order
+from .orbits import Classification, classify_orbit
+from .torus import TorusEndo, classify_fiber, relative_order
 
 
 @dataclass(frozen=True)
@@ -227,10 +224,7 @@ def fitting_lift(group: BieberbachGroup, endo: InfraEndo) -> TorusEndo:
         raise UnsupportedInputError(
             "Fitting lift needs an invertible linear part; use holonomy_power_cover"
         )
-    lift = TorusEndo(endo.linear, endo.translation)
-    for x in _sample_points(group.dim, 3):
-        classify_infra(group, endo, x, cover="fitting")
-    return lift
+    return TorusEndo(endo.linear, endo.translation)
 
 
 def holonomy_power_cover(group: BieberbachGroup) -> TorusCover:
@@ -267,29 +261,24 @@ def holonomy_power_cover(group: BieberbachGroup) -> TorusCover:
     return TorusCover(group, freeze_matrix(rows), index)
 
 
-def _sample_points(dim: int, max_den: int):
-    for m in range(1, max_den + 1):
-        for tup in itertools.product(range(m), repeat=dim):
-            yield [Fraction(a, m) for a in tup]
+class FlatPoints:
+    """An admissible map on the flat manifold: states are the coordinates of
+    canonical representatives of group orbits."""
 
+    def __init__(self, group: BieberbachGroup, endo: InfraEndo):
+        self.group = group
+        self.endo = endo
 
-def _fitting_fiber(group: BieberbachGroup, x):
-    """Fiber of the group orbit of x in the translation torus."""
-    pts = {tuple(Fraction(v) % 1 for v in rep.apply(x)) for rep in group.reps}
-    return sorted(pts)
+    def step(self, coords):
+        moved = mat_vec(self.endo.linear, list(coords))
+        image = [m + b for m, b in zip(moved, self.endo.translation)]
+        return canonical_point(self.group, image).coords
 
+    def order(self, coords) -> int:
+        return relative_order(coords)
 
-def _power_cover_fiber(group: BieberbachGroup, cover: TorusCover, x):
-    """Fiber of the group orbit of x in the power-lattice torus, in ambient
-    coordinates reduced modulo the sublattice."""
-    H = [list(r) for r in cover.lattice_rows]
-    pts = set()
-    for rep in group.reps:
-        moved = rep.apply(x)
-        for z in coset_representatives(H):
-            shifted = [v + k for v, k in zip(moved, z)]
-            pts.add(tuple(reduce_mod_lattice(H, shifted)))
-    return sorted(pts)
+    def decode(self, coords) -> InfraPoint:
+        return InfraPoint(coords)
 
 
 def classify_infra(
@@ -299,60 +288,36 @@ def classify_infra(
 
     The orbit is computed directly on canonical representatives; the verdict
     is cross-checked against the classification of the whole fiber in a torus
-    cover: eventual periodicity must hold fiberwise, the point is periodic
-    iff some fiber point is, and for the Fitting cover of an invertible map
-    the fiber of a periodic point is entirely periodic.
+    cover, "fitting" (R^n/Z^n, invertible maps only) or "gamma_power" (see
+    holonomy_power_cover); "auto" picks the first when the linear part is
+    invertible.  The point is periodic iff some fiber point is, and for the
+    Fitting cover the fiber of a periodic point is entirely periodic.
     """
     xs = [Fraction(v) for v in x]
     if len(xs) != group.dim:
         raise ValueError("point dimension mismatch")
+    if cover == "auto":
+        cover = "fitting" if endo.determinant != 0 else "gamma_power"
+    if cover == "fitting":
+        lift = fitting_lift(group, endo)
+        rows = mat_identity(group.dim)
+    elif cover == "gamma_power":
+        lift = TorusEndo(endo.linear, endo.translation)
+        rows = holonomy_power_cover(group).lattice_rows
+    else:
+        raise ValueError(f"unknown cover {cover!r}: use 'auto', 'fitting' or 'gamma_power'")
 
-    A = [list(r) for r in endo.linear]
-
-    def step_coords(coords):
-        moved = [m + b for m, b in zip(mat_vec(A, list(coords)), endo.translation)]
-        return canonical_point(group, moved).coords
-
-    start = canonical_point(group, xs).coords
-    mu, lam, path = iterate_orbit(step_coords, start)
-    trace = tuple(relative_order(p) for p in path)
-    base = Classification(mu, lam, trace)
-
-    covers = []
-    if cover in ("auto", "fitting") and endo.determinant != 0:
-        covers.append("fitting")
-    if cover in ("gamma_power",) or (cover == "auto" and endo.determinant == 0):
-        covers.append("gamma_power")
-    if cover == "fitting" and endo.determinant == 0:
-        raise UnsupportedInputError("Fitting cover needs an invertible linear part")
-
-    for which in covers:
-        if which == "fitting":
-            lift = TorusEndo(endo.linear, endo.translation)
-            fiber = _fitting_fiber(group, xs)
-            fiber_cls = [classify(lift, p)[0] for p in fiber]
-            expected_size = group.holonomy_order
-            strong = True  # invertible: periodic fibers are periodic throughout
-        else:
-            pc = holonomy_power_cover(group)
-            lift, Binv = lattice_coordinates(pc.lattice_rows, endo.linear, endo.translation)
-            fiber = _power_cover_fiber(group, pc, xs)
-            fiber_cls = [classify(lift, mat_vec(Binv, list(p)))[0] for p in fiber]
-            expected_size = group.holonomy_order * pc.index
-            strong = False
-        if len(fiber) != expected_size:
-            raise ConsistencyError(
-                f"fiber size {len(fiber)} != covering degree {expected_size}"
-            )
-        if any(c.periodic for c in fiber_cls) != base.periodic:
-            raise ConsistencyError(
-                "periodicity does not project correctly along the cover",
-                payload=(which, x, base, fiber_cls),
-            )
-        if strong and endo.determinant != 0:
-            if all(c.periodic for c in fiber_cls) != base.periodic:
-                raise ConsistencyError(
-                    "invertible lift should have an all-or-none periodic fiber",
-                    payload=(which, x, base, fiber_cls),
-                )
+    base, _ = classify_orbit(FlatPoints(group, endo), canonical_point(group, xs).coords)
+    _, fiber_cls = classify_fiber(rows, lift, [rep.apply(xs) for rep in group.reps])
+    if any(c.periodic for c in fiber_cls) != base.periodic:
+        raise ConsistencyError(
+            "periodicity does not project correctly along the cover",
+            payload=(cover, x, base, fiber_cls),
+        )
+    # all-or-none needs an invertible lift, which only the Fitting cover has
+    if cover == "fitting" and all(c.periodic for c in fiber_cls) != base.periodic:
+        raise ConsistencyError(
+            "invertible lift should have an all-or-none periodic fiber",
+            payload=(cover, x, base, fiber_cls),
+        )
     return base

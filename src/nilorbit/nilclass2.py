@@ -37,7 +37,7 @@ from .exactmath import (
     rational_row_hnf,
     vec_is_zero,
 )
-from .orbits import Classification, OrbitResult, iterate_orbit
+from .orbits import Classification, OrbitResult, classify_orbit
 
 
 @dataclass(frozen=True)
@@ -548,15 +548,23 @@ def apply_endo(delta: NilEndo, g: MalcevElement) -> MalcevElement:
     return MalcevElement(delta.group, mat_vec([list(r) for r in delta.matrix], list(g.coords)))
 
 
-def coset_step(delta: NilEndo, N: LatticeSubgroup):
-    """The endomorphism on cosets N g, acting on the coordinates of their
+class NilCosets:
+    """The endomorphism on cosets N g: states are the coordinates of their
     canonical representatives."""
 
-    def step_coords(coords):
-        elem = MalcevElement(N.group, coords)
-        return N.canonical_rep(apply_endo(delta, elem)).coords
+    def __init__(self, delta: NilEndo, N: LatticeSubgroup):
+        self.delta = delta
+        self.lattice = N
+        self.group = N.group
 
-    return step_coords
+    def step(self, coords):
+        return self.lattice.canonical_rep(apply_endo(self.delta, self.decode(coords))).coords
+
+    def order(self, coords) -> int:
+        return relative_order(self.lattice, self.decode(coords))
+
+    def decode(self, coords) -> MalcevElement:
+        return MalcevElement(self.group, coords)
 
 
 def classify_nil(
@@ -568,13 +576,7 @@ def classify_nil(
     representatives (the endomorphism never increases relative orders), so
     hash-based cycle detection terminates.
     """
-    start = N.canonical_rep(g)
-    mu, lam, path = iterate_orbit(coset_step(delta, N), start.coords)
-    elems = [MalcevElement(N.group, c) for c in path]
-    trace = tuple(relative_order(N, e) for e in elems)
-    cls = Classification(mu, lam, trace)
-    orbit = OrbitResult(mu, lam, tuple(elems[:mu]), tuple(elems[mu:]))
-    return cls, orbit
+    return classify_orbit(NilCosets(delta, N), N.canonical_rep(g).coords)
 
 
 def order_coprime_to_det(delta: NilEndo, N: LatticeSubgroup, g: MalcevElement) -> bool:

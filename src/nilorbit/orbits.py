@@ -30,6 +30,19 @@ def iterate_orbit(step: Callable[[State], State], start: State):
     return mu, len(path) - mu, path
 
 
+def classify_orbit(system, start):
+    """Classify the orbit of the state `start` under a finite system.
+
+    `system.step(state)` is the map on states, `system.order(state)` the
+    relative order of the point a state stands for and `system.decode(state)`
+    that point.  Returns (Classification, OrbitResult).
+    """
+    mu, lam, path = iterate_orbit(system.step, start)
+    trace = tuple(system.order(s) for s in path)
+    points = tuple(system.decode(s) for s in path)
+    return Classification(mu, lam, trace), OrbitResult(mu, lam, points[:mu], points[mu:])
+
+
 def sweep_orbits(step: Callable[[State], State], states: Iterable[State]):
     """(preperiod, period) for every given state, sharing work across orbits.
 
@@ -94,10 +107,6 @@ class Classification:
     @property
     def periodic(self) -> bool:
         return self.preperiod == 0
-
-    @property
-    def eventually_periodic(self) -> bool:
-        return True  # classification always terminates on the supported inputs
 
     @property
     def verdict(self) -> str:

@@ -17,9 +17,9 @@ from multiprocessing import Pool
 from .errors import UnsupportedInputError
 from .exactmath import prime_support
 from .fixtures import NilFixture, TorusFixture
-from .nilclass2 import MalcevElement, coset_step, relative_order as nil_relative_order
+from .nilclass2 import MalcevElement, NilCosets, relative_order as nil_relative_order
 from .orbits import Classification, sweep_orbits
-from .torus import TranslationVerdict, grid_step, translation_periodicity
+from .torus import TorusGrid, TranslationVerdict, translation_periodicity
 
 SCHEMA_VERSION = 1
 
@@ -36,15 +36,14 @@ def _point_str(nums, m: int) -> str:
     return ",".join(str(Fraction(a, m)) for a in nums)
 
 
-class _TorusGrid:
+class _TorusGrid(TorusGrid):
     """Torus maps on the (1/m)-grid: states are numerator tuples mod m."""
 
     checks_constant_order = True
 
     def __init__(self, fixture: TorusFixture, endo_name, m: int):
-        self.m = m
+        super().__init__(fixture.endo, m)
         self.dim = fixture.endo.dim
-        self.step = grid_step(fixture.endo, m)
 
     @staticmethod
     def describe(fixture: TorusFixture, endo_name):
@@ -56,24 +55,18 @@ class _TorusGrid:
     def encode(self, nums):
         return nums
 
-    def order(self, state) -> int:
-        return self.m // gcd(self.m, *state)
-
-    point_order = order
+    point_order = TorusGrid.order
 
 
-class _NilCosets:
-    """Nil maps on cosets of the points a/m in exponential coordinates:
-    states are the coordinates of canonical coset representatives."""
+class _NilCosets(NilCosets):
+    """Nil maps on cosets of the points a/m in exponential coordinates."""
 
     checks_constant_order = False
 
     def __init__(self, fixture: NilFixture, endo_name: str, m: int):
+        super().__init__(fixture.endos[endo_name], fixture.lattice)
         self.m = m
         self.dim = fixture.group.dim
-        self.group = fixture.group
-        self.lattice = fixture.lattice
-        self.step = coset_step(fixture.endos[endo_name], fixture.lattice)
 
     @staticmethod
     def describe(fixture: NilFixture, endo_name: str):
@@ -87,9 +80,6 @@ class _NilCosets:
 
     def encode(self, nums):
         return self.lattice.canonical_rep(self._point(nums)).coords
-
-    def order(self, state) -> int:
-        return nil_relative_order(self.lattice, MalcevElement(self.group, state))
 
     def point_order(self, nums) -> int:
         # the grid point itself: its coset representative can have another order

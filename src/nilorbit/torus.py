@@ -9,7 +9,6 @@ denominator never grows, so classification is exact cycle detection.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,6 +39,7 @@ from .exactmath import (
     mat_pow,
     mat_shape,
     mat_sub,
+    mat_transpose,
     mat_vec,
     rational_kernel,
     root_of_unity_orders,
@@ -50,7 +50,7 @@ from .exactmath import (
     split_quad_vector,
     vec_is_zero,
 )
-from .orbits import Classification, OrbitResult, iterate_orbit, sweep_orbits
+from .orbits import Classification, OrbitResult, classify_orbit
 
 
 @dataclass(frozen=True)
@@ -163,34 +163,32 @@ def step(f: TorusEndo, x: TorusPoint) -> TorusPoint:
     return TorusPoint(tuple(m + b for m, b in zip(moved, f.translation)))
 
 
-def grid_step(f: TorusEndo, M: int):
-    """The map on numerators of the grid (1/M)Z^n: x -> (A x + M b) mod M.
+class TorusGrid:
+    """The map on numerators of the grid (1/m)Z^n: x -> (A x + m b) mod m.
 
-    M must be a multiple of the relative order of the translation.
+    m must be a multiple of the relative order of the translation.
     """
-    n = f.dim
-    A = [list(r) for r in f.linear]
-    c = [int(x * M) % M for x in f.translation_fractions()]
 
-    def step_int(state):
-        return tuple(
-            (sum(A[i][j] * state[j] for j in range(n)) + c[i]) % M for i in range(n)
-        )
+    def __init__(self, f: TorusEndo, m: int):
+        self.m = m
+        n = f.dim
+        A = [list(r) for r in f.linear]
+        c = [int(x * m) % m for x in f.translation_fractions()]
 
-    return step_int
+        # a closure, not a method: the walk calls it once per state
+        def step(state):
+            return tuple(
+                (sum(A[i][j] * state[j] for j in range(n)) + c[i]) % m for i in range(n)
+            )
 
+        self.step = step
 
-def _int_dynamics(f: TorusEndo, q):
-    """Scale the affine map onto the integer grid (1/m)Z^n: returns
-    (m, start state, grid_step(f, m))."""
-    qs = [Fraction(x) % 1 for x in q]
-    m = lcm(relative_order(qs), relative_order(f.translation_fractions()))
-    start = tuple(int(x * m) % m for x in qs)
-    return m, start, grid_step(f, m)
+    def order(self, state) -> int:
+        """Relative order of the grid point state/m."""
+        return self.m // gcd(self.m, *state)
 
-
-def _grid_order(m: int, state: tuple[int, ...]) -> int:
-    return m // gcd(m, *state) if state else 1
+    def decode(self, state) -> TorusPoint:
+        return TorusPoint(tuple(Fraction(a, self.m) for a in state))
 
 
 def classify(f: TorusEndo, q) -> tuple[Classification, OrbitResult]:
@@ -207,28 +205,9 @@ def classify(f: TorusEndo, q) -> tuple[Classification, OrbitResult]:
         )
     if len(q) != f.dim:
         raise ValueError(f"point has length {len(q)}, map has dimension {f.dim}")
-    q = _require_rational_point(q)
-    m, start, step_int = _int_dynamics(f, q)
-    mu, lam, path = iterate_orbit(step_int, start)
-    points = [TorusPoint(tuple(Fraction(a, m) for a in s)) for s in path]
-    trace = tuple(_grid_order(m, s) for s in path)
-    cls = Classification(mu, lam, trace)
-    orbit = OrbitResult(mu, lam, tuple(points[:mu]), tuple(points[mu:]))
-    return cls, orbit
-
-
-def sweep_denominator(f: TorusEndo, m: int):
-    """(preperiod, period) for every grid point with coordinates in (1/m)Z^n.
-
-    Returns (modulus M, step, dict state -> (preperiod, period)) where states
-    are integer tuples over modulus M (M = m unless the translation needs a
-    finer grid).  Work is shared across orbits, so the whole grid costs O(M^n).
-    """
-    M = lcm(m, relative_order(f.translation_fractions()))
-    scale = M // m
-    step_int = grid_step(f, M)
-    states = [tuple(scale * x for x in t) for t in itertools.product(range(m), repeat=f.dim)]
-    return M, step_int, sweep_orbits(step_int, states)
+    qs = [x % 1 for x in _require_rational_point(q)]
+    m = lcm(relative_order(qs), relative_order(f.translation_fractions()))
+    return classify_orbit(TorusGrid(f, m), tuple(int(x * m) % m for x in qs))
 
 
 def fixed_point(f: TorusEndo):
@@ -451,6 +430,48 @@ def lattice_coordinates(rows, A, b):
     return TorusEndo([[int(x) for x in row] for row in A_up], b_up), Binv
 
 
+def cover_lattice(L_basis, A) -> list[list[int]]:
+    """HNF rows of the sublattice L spanned by `L_basis`, checked to have
+    finite index in Z^n and to be preserved by the linear part A."""
+    n = len(A)
+    if any(len(row) != n for row in L_basis):
+        raise LatticeError(f"sublattice rows must have {n} entries")
+    H = hnf_basis(L_basis)
+    if len(H) < n:
+        raise LatticeError("sublattice has infinite index (rank deficient)")
+    for row in H:
+        if not row_span_contains(H, mat_vec(A, row)):
+            raise LatticeError(
+                "lift mismatch: linear part does not preserve the sublattice"
+            )
+    return H
+
+
+def classify_fiber(rows, f: TorusEndo, points):
+    """Every point of R^n/L over the given points of R^n/Z^n, classified
+    under f acting on R^n/L.
+
+    L is spanned by the full-rank HNF `rows` and preserved by the linear
+    part of f (see cover_lattice).  Returns (fiber, classifications); fiber
+    points are ambient coordinates reduced modulo L, listed point by point
+    and, over each point, in the order of coset_representatives.
+    """
+    f_up, Binv = lattice_coordinates(rows, f.linear, f.translation_fractions())
+    shifts = coset_representatives(rows)
+    fiber = []
+    classes = []
+    for p in points:
+        for z in shifts:
+            x = [a + b for a, b in zip(p, z)]
+            fiber.append(tuple(reduce_mod_lattice(rows, x)))
+            classes.append(classify(f_up, mat_vec(Binv, x))[0])
+    # len(points) * [Z^n : L] entries by construction, so this also checks
+    # the covering degree
+    if len(set(fiber)) != len(fiber):
+        raise ConsistencyError("fiber enumeration produced duplicate points", payload=fiber)
+    return fiber, classes
+
+
 @dataclass(frozen=True)
 class CoverTransferReport:
     """Classification transfer along a finite torus self-cover."""
@@ -460,70 +481,40 @@ class CoverTransferReport:
     fiber_classifications: tuple[Classification, ...]
     base_classification: Classification
     induced_map_injective: bool
-    eper_matches: bool
     per_projection_matches: bool
     injective_fiber_periodic: bool | None
 
 
 def cover_transfer(L_basis, f_up: TorusEndo, f_down: TorusEndo, q) -> CoverTransferReport:
     """Classify a point downstairs and its whole fiber upstairs, checking the
-    covering statements: eventual periodicity pulls back to the full fiber,
-    periodicity projects onto periodicity, and for an injective induced map
-    on Z^n/L a periodic fiber is periodic throughout.
+    covering statements: periodicity projects onto periodicity, and for an
+    injective induced map on Z^n/L a periodic fiber is periodic throughout.
     """
     if f_up.linear != f_down.linear or f_up.translation != f_down.translation:
         raise LatticeError("lift mismatch: up- and downstairs maps must agree")
-    n = f_down.dim
-    H = hnf_basis(L_basis)
-    if len(H) < n:
-        raise LatticeError("sublattice has infinite index (rank deficient)")
-    index = prod(H[i][i] for i in range(n))
-    A = [list(r) for r in f_down.linear]
-    for row in H:
-        if not row_span_contains(H, mat_vec(A, row)):
-            raise LatticeError(
-                "lift mismatch: linear part does not preserve the sublattice"
-            )
-    f_conj, Binv = lattice_coordinates(H, A, f_down.translation_fractions())
-
+    H = cover_lattice(L_basis, f_down.linear)
     qs = [Fraction(x) % 1 for x in q]
-    reps = []
-    fiber_cls = []
-    for z in coset_representatives(H):
-        x = [a + b for a, b in zip(qs, z)]
-        reps.append(tuple(reduce_mod_lattice(H, x)))
-        u = mat_vec(Binv, x)
-        fiber_cls.append(classify(f_conj, u)[0])
-    if len(set(reps)) != index:
-        raise ConsistencyError("fiber enumeration produced duplicate points")
-
+    fiber, fiber_cls = classify_fiber(H, f_down, [qs])
     base_cls = classify(f_down, qs)[0]
 
-    injective = True
-    for z in coset_representatives(H):
-        if all(v == 0 for v in z):
-            continue
-        image = reduce_mod_lattice(H, mat_vec(A, list(z)))
-        if all(v == 0 for v in image):
-            injective = False
-            break
+    # A induces a bijection of the finite group Z^n/L iff A Z^n + L = Z^n
+    image = hnf_basis(mat_transpose(f_down.linear) + H)
+    injective = prod(image[i][i] for i in range(len(H))) == 1
 
-    eper_matches = all(c.eventually_periodic for c in fiber_cls) and base_cls.eventually_periodic
     per_projection = any(c.periodic for c in fiber_cls) == base_cls.periodic
     inj_fiber = None
     if injective:
         inj_fiber = all(c.periodic for c in fiber_cls) == base_cls.periodic
     report = CoverTransferReport(
-        index=index,
-        fiber=tuple(reps),
+        index=len(fiber),
+        fiber=tuple(fiber),
         fiber_classifications=tuple(fiber_cls),
         base_classification=base_cls,
         induced_map_injective=injective,
-        eper_matches=eper_matches,
         per_projection_matches=per_projection,
         injective_fiber_periodic=inj_fiber,
     )
-    if not (eper_matches and per_projection and (inj_fiber in (None, True))):
+    if not (per_projection and (inj_fiber in (None, True))):
         raise ConsistencyError("covering transfer statement failed", payload=report)
     return report
 

@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from nilorbit.cli import main
 from nilorbit.fixtures import (
     InvalidFixtureError,
     build_fixture,
@@ -46,11 +48,19 @@ def test_detect_kind():
         detect_kind({"foo": 1})
 
 
+def _nil_doc(bracket, lattice_basis=((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+    return {"dim": 3, "bracket": bracket, "lattice_basis": [list(r) for r in lattice_basis]}
+
+
 def test_build_fixture_rejects_garbage():
     with pytest.raises(InvalidFixtureError):
         build_fixture({"n": 2, "A": [[1, 0], [0, 1]], "b": ["1/0", "0"]})
     with pytest.raises(InvalidFixtureError):
         build_fixture([1, 2, 3])
+    # bracket keys index basis vectors 0..dim-1
+    for key in ("0,5", "0,-2"):
+        with pytest.raises(InvalidFixtureError, match="outside"):
+            build_fixture(_nil_doc({key: ["0", "0", "1"]}))
 
 
 # --- classify command ------------------------------------------------------------
@@ -106,6 +116,22 @@ def test_cli_exit_code_bad_fixture(tmp_path):
     missing_keys.write_text('{"foo": 1}')
     out = run_cli("classify", "--fixture", str(missing_keys), "--point", "0,0")
     assert out.returncode == 2
+    lattice_errors = [
+        # nil lattice of deficient rank in the abelianization
+        (_nil_doc({"0,1": ["0", "0", "1"]}, [[1, 0, 0], [2, 0, 0], [0, 0, 1]]), "0,0,0"),
+        # rank-deficient cover lattice
+        ({"n": 2, "A": [[2, 0], [0, 3]], "b": ["0", "0"], "L_basis": [[2, 0], [4, 0]]}, "0,0"),
+        # cover lattice 2Z x Z is not preserved by swapping the axes
+        ({"n": 2, "A": [[0, 1], [1, 0]], "b": ["0", "0"], "L_basis": [[2, 0], [0, 1]]}, "0,0"),
+        # cover lattice rows of the wrong length
+        ({"n": 2, "A": [[2, 0], [0, 3]], "b": ["0", "0"], "L_basis": [[1, 0, 0], [0, 1, 0]]}, "0,0"),
+    ]
+    for doc, point in lattice_errors:
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(doc))
+        out = run_cli("classify", "--fixture", str(path), "--point", point)
+        assert out.returncode == 2, (doc, out.stderr)
+        assert "Traceback" not in out.stderr
 
 
 def test_cli_exit_code_unsupported_input():
@@ -236,6 +262,18 @@ def test_cli_scan_rejects_affine_fixture(tmp_path):
 def test_cli_point_dimension_mismatch():
     out = run_cli("classify", "--fixture", str(FIXTURES / "a1.json"), "--point", "1/2")
     assert out.returncode == 3
+
+
+def test_cli_classify_output_pinned(capsys):
+    """classify prints the same bytes as recorded for one point on every
+    shipped fixture, in text and --json, cover fiber order included."""
+    cases = json.loads((Path(__file__).parent / "classify_pins.json").read_text())
+    assert {case["fixture"] for case in cases} == {name for name, _, _, _ in list_fixtures()}
+    for case in cases:
+        argv = ["classify", "--fixture", str(FIXTURES / f"{case['fixture']}.json"), *case["args"]]
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert (code, out) == (case["exit"], case["stdout"]), argv
 
 
 def test_scan_byte_identical_across_runs(tmp_path):

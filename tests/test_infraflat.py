@@ -122,6 +122,14 @@ def test_fitting_lift():
         fitting_lift(group, singular)
 
 
+def test_classify_infra_rejects_unknown_cover():
+    group = klein()
+    endo = klein_endo(group)
+    for cover in ("fiting", None):
+        with pytest.raises(ValueError, match="unknown cover"):
+            classify_infra(group, endo, [F(1, 5), F(1, 7)], cover=cover)
+
+
 def test_fiber_is_holonomy_orbit():
     group = klein()
     x = [F(1, 5), F(1, 7)]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -5,14 +6,23 @@ from math import gcd
 import pytest
 
 from nilorbit.errors import LatticeError, UnsupportedInputError
-from nilorbit.exactmath import QuadExt, mat_pow
+from nilorbit.exactmath import (
+    QuadExt,
+    coset_representatives,
+    mat_pow,
+    mat_vec,
+    reduce_mod_lattice,
+)
+from nilorbit.orbits import sweep_orbits
 from nilorbit.torus import (
     TorusEndo,
+    TorusGrid,
     TorusPoint,
     TranslationVerdict,
     classify,
     conjugate_to_linear,
     constant_order_on_cycle,
+    cover_lattice,
     cover_transfer,
     equalizer_membership,
     eventually_periodic_set,
@@ -23,7 +33,6 @@ from nilorbit.torus import (
     relative_order,
     step,
     strictly_preperiodic_witness,
-    sweep_denominator,
     translation_periodicity,
     unity_subspace,
 )
@@ -292,11 +301,10 @@ def test_coprime_order_implies_periodic_small_sweep():
         for m in range(1, 13):
             if gcd(m, abs(D)) != 1:
                 continue
-            M, _, memo = sweep_denominator(f, m)
-            scale = M // m
+            grid = TorusGrid(f, m)
+            memo = sweep_orbits(grid.step, itertools.product(range(m), repeat=n))
             for state, (pre, per) in memo.items():
-                if all(x % scale == 0 for x in state):
-                    assert pre == 0, (A, state, m)
+                assert pre == 0, (A, state, m)
 
 
 # --- equalizer membership -----------------------------------------------------------
@@ -368,6 +376,30 @@ def test_cover_transfer_injective_case():
     assert report.induced_map_injective
     assert report.injective_fiber_periodic
     assert report.base_classification.periodic
+
+
+def test_cover_transfer_injectivity_matches_enumeration():
+    # the induced map on Z^n/L is injective iff no nonzero coset
+    # representative z has A z in L
+    rng = random.Random(7)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(1, 3)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        L = [[rng.randint(1, 4) if i == j else rng.randint(0, 3) * (j > i) for j in range(n)]
+             for i in range(n)]
+        try:
+            H = cover_lattice(L, A)
+        except LatticeError:
+            continue
+        expected = all(
+            any(reduce_mod_lattice(H, mat_vec(A, list(z))))
+            for z in coset_representatives(H)
+            if any(z)
+        )
+        f = TorusEndo(A)
+        assert cover_transfer(L, f, f, [F(0)] * n).induced_map_injective == expected, (A, L)
+        checked += 1
 
 
 # --- strictly preperiodic witnesses ----------------------------------------------------
