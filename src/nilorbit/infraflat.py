@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     ConsistencyError,
@@ -55,6 +56,11 @@ class BieberbachGroup:
     @property
     def holonomy_order(self) -> int:
         return len(self.reps)
+
+    @cached_property
+    def power_cover(self) -> TorusCover:
+        """holonomy_power_cover(self), built and checked once per group."""
+        return holonomy_power_cover(self)
 
 
 def _rep_order(F, cap: int) -> int:
@@ -303,7 +309,7 @@ def classify_infra(
         rows = mat_identity(group.dim)
     elif cover == "gamma_power":
         lift = TorusEndo(endo.linear, endo.translation)
-        rows = holonomy_power_cover(group).lattice_rows
+        rows = group.power_cover.lattice_rows
     else:
         raise ValueError(f"unknown cover {cover!r}: use 'auto', 'fitting' or 'gamma_power'")
 

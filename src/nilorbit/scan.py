@@ -161,6 +161,8 @@ def scan_report(fixture, max_denominator: int, workers: int = 1, endo_name=None)
     structural guarantees (termination, coprime-order sufficiency, order
     invariants on cycles, fixture expectations)."""
     _check_bound("scan", max_denominator)
+    if workers < 1:
+        raise UnsupportedInputError(f"scan needs at least 1 worker, got {workers}")
     family, endo_name = _family(fixture, endo_name, "scan")
     name, map_desc, D, expect = family.describe(fixture, endo_name)
     payloads = [(family, fixture, endo_name, m) for m in range(1, max_denominator + 1)]

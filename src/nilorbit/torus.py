@@ -9,6 +9,7 @@ denominator never grows, so classification is exact cycle detection.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -63,6 +64,13 @@ class TorusPoint:
         object.__setattr__(
             self, "coords", tuple(Fraction(c) % 1 for c in self.coords)
         )
+
+    @classmethod
+    def _canonical(cls, coords: tuple[Fraction, ...]) -> TorusPoint:
+        """A point from coordinates already in [0, 1), without re-normalising."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "coords", coords)
+        return point
 
     @property
     def dim(self) -> int:
@@ -163,6 +171,18 @@ def step(f: TorusEndo, x: TorusPoint) -> TorusPoint:
     return TorusPoint(tuple(m + b for m, b in zip(moved, f.translation)))
 
 
+class _FractionMemo(dict):
+    """Fraction(a, m) by numerator a, built on first use."""
+
+    def __init__(self, m: int):
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, a):
+        value = self[a] = Fraction(a, self.m)
+        return value
+
+
 class TorusGrid:
     """The map on numerators of the grid (1/m)Z^n: x -> (A x + m b) mod m.
 
@@ -171,24 +191,23 @@ class TorusGrid:
 
     def __init__(self, f: TorusEndo, m: int):
         self.m = m
-        n = f.dim
-        A = [list(r) for r in f.linear]
-        c = [int(x * m) % m for x in f.translation_fractions()]
+        rows = [(row, int(x * m) % m) for row, x in zip(f.linear, f.translation_fractions())]
+        mul = operator.mul
 
         # a closure, not a method: the walk calls it once per state
         def step(state):
-            return tuple(
-                (sum(A[i][j] * state[j] for j in range(n)) + c[i]) % m for i in range(n)
-            )
+            return tuple([(sum(map(mul, row, state)) + c) % m for row, c in rows])
 
         self.step = step
+        self._fractions = _FractionMemo(m)
 
     def order(self, state) -> int:
         """Relative order of the grid point state/m."""
         return self.m // gcd(self.m, *state)
 
     def decode(self, state) -> TorusPoint:
-        return TorusPoint(tuple(Fraction(a, self.m) for a in state))
+        # numerators are reduced mod m, so every a/m is already in [0, 1)
+        return TorusPoint._canonical(tuple(map(self._fractions.__getitem__, state)))
 
 
 def classify(f: TorusEndo, q) -> tuple[Classification, OrbitResult]:

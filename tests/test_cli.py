@@ -174,6 +174,26 @@ def test_cli_rejects_bound_below_one(command, flag, bound):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_cli_rejects_workers_below_one(workers, monkeypatch, capsys, tmp_path):
+    from nilorbit import scan
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(scan, "Pool", no_pool)
+    target = tmp_path / "report.json"
+    code = main([
+        "scan", "--fixture", str(FIXTURES / "a1.json"), "--max-den", "4",
+        "--workers", workers, "--out", str(target),
+    ])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 1 worker" in captured.err
+    assert not target.exists()
+
+
 # --- scan and density commands -------------------------------------------------------
 
 def test_cli_scan_writes_report(tmp_path):

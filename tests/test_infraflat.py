@@ -112,6 +112,27 @@ def test_holonomy_power_cover_torus():
     assert cover.index == 1
 
 
+def test_power_cover_built_once_per_group(monkeypatch):
+    from nilorbit import infraflat
+
+    calls = []
+
+    def counting(group):
+        calls.append(group)
+        return holonomy_power_cover(group)
+
+    monkeypatch.setattr(infraflat, "holonomy_power_cover", counting)
+    group = klein()
+    singular = validate_endo(group, [[3, 0], [0, 0]], [0, 0])
+    for x in ([F(1, 5), F(1, 7)], [F(1, 3), F(1, 2)], [F(0), F(1, 4)]):
+        classify_infra(group, singular, x)
+    assert calls == [group]
+    assert group.power_cover == holonomy_power_cover(group)
+    # a new group builds (and checks) its own cover
+    classify_infra(klein(), singular, [F(1, 5), F(1, 7)], cover="gamma_power")
+    assert len(calls) == 2
+
+
 def test_fitting_lift():
     group = klein()
     endo = klein_endo(group)
