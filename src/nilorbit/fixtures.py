@@ -73,6 +73,8 @@ class NilFixture:
     def pick_endo(self, name=None) -> str:
         """The map called `name`, or the only map when no name is given."""
         names = sorted(self.endos)
+        if not names:
+            raise UnsupportedInputError("fixture has no maps; add them under \"endos\"")
         if name is None:
             if len(names) == 1:
                 return names[0]
@@ -110,6 +112,13 @@ def _parse_vector(values):
     return [parse_scalar(v) for v in values]
 
 
+def _object_field(doc: dict, key: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise InvalidFixtureError(f"{key!r} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def _parse_int_matrix(rows):
     return [[int(x) for x in row] for row in rows]
 
@@ -144,7 +153,7 @@ def build_fixture(doc: dict, default_name: str = "inline"):
         if kind == "nil":
             m = int(doc["dim"])
             tensor = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
-            for key, vec in doc.get("bracket", {}).items():
+            for key, vec in _object_field(doc, "bracket").items():
                 i, j = (int(part) for part in key.split(","))
                 if not (0 <= i < m and 0 <= j < m):
                     raise InvalidFixtureError(f"bracket key {key!r} is outside 0..{m - 1}")
@@ -159,7 +168,7 @@ def build_fixture(doc: dict, default_name: str = "inline"):
             lattice = subgroup_generated(gens)
             endos = {
                 key: make_endo(group, [[Fraction(str(x)) for x in row] for row in mat], lattice)
-                for key, mat in doc.get("endos", {}).items()
+                for key, mat in _object_field(doc, "endos").items()
             }
             return NilFixture(name, description, group, lattice, endos)
         if kind == "infra":

@@ -9,18 +9,14 @@ the trailing rows span the derived directions, giving a two-stage
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd
 
-from .errors import (
-    ConsistencyError,
-    LatticeError,
-    SearchBoundExceededError,
-    UnsupportedInputError,
-)
+from .errors import ConsistencyError, LatticeError, UnsupportedInputError
 from .exactmath import (
     SubspaceQ,
     denominator_lcm,
@@ -28,6 +24,9 @@ from .exactmath import (
     eventually_fixed_subspace,
     freeze_matrix,
     invert_rational,
+    is_integer_matrix,
+    lcm,
+    mat_mul,
     mat_shape,
     mat_sub,
     mat_transpose,
@@ -210,15 +209,7 @@ class LatticeSubgroup:
             raise LatticeError(
                 "leading basis rows do not project to an abelianization basis"
             )
-        for i in range(m - r):
-            for j in range(i + 1, m - r):
-                c = group.bracket_vec(rows[i], rows[j])
-                coeffs = self.central_coeffs(c)
-                if any(x.denominator != 1 for x in coeffs):
-                    raise LatticeError(
-                        f"not closed under products: [b_{i}, b_{j}] is outside "
-                        "the central lattice"
-                    )
+        self.structure_constants  # raises LatticeError unless closed under products
 
     @property
     def central_rank(self) -> int:
@@ -231,6 +222,39 @@ class LatticeSubgroup:
     @property
     def central_rows(self):
         return self.basis[self.group.dim - self.central_rank:]
+
+    @cached_property
+    def structure_constants(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The integer central coefficients C_ij = central_coeffs([h_i, h_j])
+        of the horizontal rows, as (i, j, l, C_ij[l]) for i < j and every
+        nonzero entry.
+
+        In lattice-basis coordinates y (X = B^T y) the normal form is
+        a = y_h, c = y_c - 1/2 * sum_{i<j} a_i a_j C_ij.  The lattice is
+        closed under products exactly when every C_ij is integral.
+        """
+        rows = self.horizontal_rows
+        out = []
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                coeffs = self.central_coeffs(self.group.bracket_vec(rows[i], rows[j]))
+                if any(x.denominator != 1 for x in coeffs):
+                    raise LatticeError(
+                        f"not closed under products: [b_{i}, b_{j}] is outside "
+                        "the central lattice"
+                    )
+                out += [(i, j, l, int(x)) for l, x in enumerate(coeffs) if x]
+        return tuple(out)
+
+    @cached_property
+    def integral_inverse(self):
+        """(P, d) with integer P: the lattice-basis coordinates of X are P X / d."""
+        return _integral(self._full_matrix_inv)
+
+    @cached_property
+    def _integral_columns(self):
+        """(Q, d) with integer Q: the exponential coordinates of y are Q y / d."""
+        return _integral(mat_transpose([list(r) for r in self.basis]))
 
     @cached_property
     def _ab_matrix_inv(self):
@@ -315,23 +339,45 @@ class LatticeSubgroup:
         return MalcevElement(self.group, [x + s for x, s in zip(g1.coords, shift)])
 
 
-def relative_order(N: LatticeSubgroup, g: MalcevElement) -> int:
-    """Least s >= 1 with g^s in N, by certified bounded search.
+def _integral(M):
+    """(integer rows, d) with M = rows / d for the least such d."""
+    d = denominator_lcm(x for row in M for x in row)
+    return tuple(tuple(int(x * d) for x in row) for row in M), d
 
-    With s0 the lcm of the adapted-basis coordinate denominators of g, the
-    order always divides 2*s0^2 in class <= 2, so the search bound (2*s0)^3
-    can only be exceeded by an implementation bug.
-    """
+
+def _scaled_coords(N: LatticeSubgroup, g: MalcevElement):
+    """(dh, dc, dh*y_h, dc*y_c) for the lattice-basis coordinates y of g,
+    with dh = den(y_h) and dc = lcm(den(y_c), 2*dh^2)."""
     y = N.coords_in_basis(g.coords)
-    s0 = denominator_lcm(y)
-    bound = (2 * s0) ** 3
-    step = denominator_lcm(N.ab_coords(g.coords))  # necessary divisor of the order
-    for s in range(step, bound + 1, step):
-        if N.contains(bch_pow(g, s)):
-            return s
-    raise SearchBoundExceededError(
-        f"relative order exceeded certified bound {bound}", bound
-    )
+    k = len(N.horizontal_rows)
+    dh = denominator_lcm(y[:k])
+    dc = lcm(denominator_lcm(y[k:]), 2 * dh * dh)
+    return dh, dc, [int(v * dh) for v in y[:k]], [int(v * dc) for v in y[k:]]
+
+
+def _scaled_order(yh, yc, dh: int, dc: int, constants) -> int:
+    """relative_order from integer coordinates (dh*y_h, dc*y_c), dc even."""
+    e = dh // gcd(dh, *yh)
+    n = [e * v // dh for v in yh]
+    w = [e * v for v in yc]
+    for i, j, l, x in constants:
+        w[l] -= (dc // 2) * x * n[i] * n[j]
+    return e * (dc // gcd(dc, *w))
+
+
+def relative_order(N: LatticeSubgroup, g: MalcevElement) -> int:
+    """Least s >= 1 with g^s in N, in closed form.
+
+    In lattice-basis coordinates g^s has y = s*y, so its normal form is
+    (s*y_h, s*y_c - s^2/2 * Q(y_h)) with Q(a) = sum_{i<j} a_i a_j C_ij.  So s
+    is a multiple of the abelianization order e = den(y_h).  h = g^e has
+    integral horizontal exponents n, and h^t has central exponents
+    t*c - t(t-1)/2 * Q(n) with Q(n) integral, so h^t is in N iff den(c) | t.
+    The order is e*den(c); it divides dc = lcm(den(y_c), 2*den(y_h)^2),
+    which divides 2*s0^2 for s0 the lcm of all coordinate denominators.
+    """
+    dh, dc, yh, yc = _scaled_coords(N, g)
+    return _scaled_order(yh, yc, dh, dc, N.structure_constants)
 
 
 def subgroup_generated(gens) -> LatticeSubgroup:
@@ -548,23 +594,100 @@ def apply_endo(delta: NilEndo, g: MalcevElement) -> MalcevElement:
     return MalcevElement(delta.group, mat_vec([list(r) for r in delta.matrix], list(g.coords)))
 
 
-class NilCosets:
-    """The endomorphism on cosets N g: states are the coordinates of their
-    canonical representatives."""
+def _map_blocks(delta: NilEndo, N: LatticeSubgroup):
+    """The map's matrix T in lattice-basis coordinates (y -> T y), as the
+    integer blocks (T_hh, 2*T_ch, T_cc).
 
-    def __init__(self, delta: NilEndo, N: LatticeSubgroup):
-        self.delta = delta
+    A map that sends N into itself and preserves the derived directions has
+    T_hc = 0 and integral T_hh and T_cc.  T_ch is half-integral, since the
+    images of the horizontal rows have integral normal forms.
+    """
+    basis_t = mat_transpose([list(r) for r in N.basis])
+    T = mat_mul(mat_mul(N._full_matrix_inv, [list(r) for r in delta.matrix]), basis_t)
+    k = len(N.horizontal_rows)
+    if any(x for row in T[:k] for x in row[k:]):
+        raise ConsistencyError(
+            "the map moves central directions into horizontal ones", payload=delta
+        )
+    blocks = (
+        ("horizontal", [row[:k] for row in T[:k]], "integral"),
+        ("horizontal->central", [[2 * x for x in row[:k]] for row in T[k:]], "half-integral"),
+        ("central", [row[k:] for row in T[k:]], "integral"),
+    )
+    for name, block, kind in blocks:
+        if not is_integer_matrix(block):
+            raise ConsistencyError(
+                f"{name} block of the map in lattice coordinates is not {kind}",
+                payload=delta,
+            )
+    return tuple(_integral(block)[0] for _, block, _ in blocks)
+
+
+class NilCosets:
+    """The endomorphism on cosets N g, in lattice-basis coordinates y.
+
+    A state is the y of a coset's canonical representative (normal form
+    exponents a and c in [0, 1)), scaled to integers as (dh*y_h, dc*y_c) by
+    denominators fixed for the system; dc must be a multiple of 2*dh^2 and
+    of the central denominators of every start.  In these coordinates the
+    map has integral horizontal and central blocks, a zero central ->
+    horizontal block and a half-integral horizontal -> central block
+    (checked once per system, ConsistencyError otherwise), so the orbit
+    never needs larger denominators.  `step`, `canonical` and `order` use integers only;
+    `decode` builds Fractions for the transcript.
+    """
+
+    def __init__(self, delta: NilEndo, N: LatticeSubgroup, dh: int, dc: int):
         self.lattice = N
         self.group = N.group
+        self.dh, self.dc = dh, dc
+        self._k = k = len(N.horizontal_rows)
+        hh, ch2, cc = _map_blocks(delta, N)
+        crows = [tuple(x * (dc // (2 * dh)) for x in w) + c for w, c in zip(ch2, cc)]
+        constants = N.structure_constants
+        wide = dc // dh
+        half = dc // (2 * dh * dh)
+        mul = operator.mul
 
-    def step(self, coords):
-        return self.lattice.canonical_rep(apply_endo(self.delta, self.decode(coords))).coords
+        # closures, not methods: the walk calls them once per state
+        def canonical(yh, yc):
+            """The state of the coset N g for g with integer coordinates
+            (dh*y_h, dc*y_c).  exp(floor(a) h)^-1 g has normal form
+            (frac(a), c) with c = y_c - Q(a)/2 + sum_{i<j} frac(a_i)
+            floor(a_j) C_ij; a central lattice element takes c mod 1."""
+            floors = [v // dh for v in yh]
+            a = [v % dh for v in yh]
+            c = list(yc)
+            qa = [0] * len(c)
+            for i, j, l, x in constants:
+                c[l] += x * (wide * a[i] * floors[j] - half * yh[i] * yh[j])
+                qa[l] += x * a[i] * a[j]
+            return (*a, *[v % dc + half * w for v, w in zip(c, qa)])
 
-    def order(self, coords) -> int:
-        return relative_order(self.lattice, self.decode(coords))
+        def step(state):
+            return canonical(
+                [sum(map(mul, row, state)) for row in hh],
+                [sum(map(mul, row, state)) for row in crows],
+            )
 
-    def decode(self, coords) -> MalcevElement:
-        return MalcevElement(self.group, coords)
+        self.canonical = canonical
+        self.step = step
+        self._wide = wide
+
+    def order_of(self, yh, yc) -> int:
+        """Relative order of the element with coordinates (dh*y_h, dc*y_c)."""
+        return _scaled_order(yh, yc, self.dh, self.dc, self.lattice.structure_constants)
+
+    def order(self, state) -> int:
+        return self.order_of(state[: self._k], state[self._k:])
+
+    def decode(self, state) -> MalcevElement:
+        columns, d = self.lattice._integral_columns
+        y = [v * self._wide for v in state[: self._k]] + list(state[self._k:])  # dc * y
+        den = d * self.dc
+        return MalcevElement(
+            self.group, [Fraction(sum(map(operator.mul, col, y)), den) for col in columns]
+        )
 
 
 def classify_nil(
@@ -572,11 +695,14 @@ def classify_nil(
 ) -> tuple[Classification, OrbitResult]:
     """Exact (preperiod, period) of the coset N g under the endomorphism.
 
-    Orbits of rational elements stay inside a finite set of canonical coset
-    representatives (the endomorphism never increases relative orders), so
-    hash-based cycle detection terminates.
+    The orbit runs on integer states over the denominators (dh, dc) of g's
+    lattice-basis coordinates (see NilCosets), so it stays inside a finite
+    set of canonical coset representatives and hash-based cycle detection
+    terminates.  The transcript lists those representatives.
     """
-    return classify_orbit(NilCosets(delta, N), N.canonical_rep(g).coords)
+    dh, dc, yh, yc = _scaled_coords(N, g)
+    system = NilCosets(delta, N, dh, dc)
+    return classify_orbit(system, system.canonical(yh, yc))
 
 
 def order_coprime_to_det(delta: NilEndo, N: LatticeSubgroup, g: MalcevElement) -> bool:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from fractions import Fraction
 from math import gcd
-from multiprocessing import Pool
 
 from .errors import UnsupportedInputError
 from .exactmath import prime_support
 from .fixtures import NilFixture, TorusFixture
-from .nilclass2 import MalcevElement, NilCosets, relative_order as nil_relative_order
+from .nilclass2 import NilCosets
 from .orbits import Classification, sweep_orbits
 from .torus import TorusGrid, TranslationVerdict, translation_periodicity
 
@@ -59,13 +59,21 @@ class _TorusGrid(TorusGrid):
 
 
 class _NilCosets(NilCosets):
-    """Nil maps on cosets of the points a/m in exponential coordinates."""
+    """Nil maps on cosets of the points a/m in exponential coordinates.
+
+    The lattice-basis coordinates of a/m are P a / (d m) for the integer
+    inverse basis P / d, so the grid fixes dh = d m and dc = 2 dh^2.
+    """
 
     checks_constant_order = False
 
     def __init__(self, fixture: NilFixture, endo_name: str, m: int):
-        super().__init__(fixture.endos[endo_name], fixture.lattice)
-        self.m = m
+        N = fixture.lattice
+        rows, d = N.integral_inverse
+        dh = d * m
+        super().__init__(fixture.endos[endo_name], N, dh, 2 * dh * dh)
+        k = len(N.horizontal_rows)
+        self._rows = rows[:k], [tuple(2 * dh * x for x in row) for row in rows[k:]]
         self.dim = fixture.group.dim
 
     @staticmethod
@@ -75,15 +83,16 @@ class _NilCosets(NilCosets):
         # |det| is the index of the image lattice, so it is an integer
         return f"{fixture.name}:{endo_name}", map_desc, int(abs(endo.determinant)), {}
 
-    def _point(self, nums) -> MalcevElement:
-        return MalcevElement(self.group, [Fraction(a, self.m) for a in nums])
+    def _scaled(self, nums):
+        """(dh*y_h, dc*y_c) for the grid point a/m."""
+        return tuple([sum(map(operator.mul, row, nums)) for row in rows] for rows in self._rows)
 
     def encode(self, nums):
-        return self.lattice.canonical_rep(self._point(nums)).coords
+        return self.canonical(*self._scaled(nums))
 
     def point_order(self, nums) -> int:
         # the grid point itself: its coset representative can have another order
-        return nil_relative_order(self.lattice, self._point(nums))
+        return self.order_of(*self._scaled(nums))
 
 
 def _check_bound(command: str, bound: int):
@@ -139,6 +148,14 @@ def _denominator_table(payload):
             if prime_support(o1) != prime_support(o2) and support_bad is None:
                 support_bad = point
     return m, rows, order_bad, support_bad
+
+
+def Pool(processes: int):
+    """A multiprocessing pool.  The module is imported on first use, since
+    single-worker runs never need it."""
+    import multiprocessing
+
+    return multiprocessing.Pool(processes=processes)
 
 
 def _run_jobs(worker, payloads, workers: int):

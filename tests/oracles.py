@@ -2,11 +2,17 @@
 
 These deliberately avoid the library's code paths: determinants by textbook
 Gaussian elimination, lattice membership by greedy triangular reduction,
-totients by coprime counting, orbits by direct Fraction iteration.
+totients by coprime counting, orbits by direct Fraction iteration, nil
+relative orders by stepping through multiples and nil orbits by Fraction
+BCH products.
 """
 
 from fractions import Fraction
 from math import gcd
+
+from nilorbit.errors import SearchBoundExceededError
+from nilorbit.exactmath import denominator_lcm
+from nilorbit.nilclass2 import apply_endo, bch_pow
 
 
 def gaussian_det(M):
@@ -95,3 +101,37 @@ def random_unimodular_matrix(rng, n, ops=12):
         if rng.random() < 0.3:
             M[i], M[j] = M[j], M[i]
     return M
+
+
+def nil_relative_order_search(N, g):
+    """Least s >= 1 with g^s in N, by certified bounded search.
+
+    With s0 the lcm of the adapted-basis coordinate denominators of g, the
+    order always divides 2*s0^2 in class <= 2, so the search bound (2*s0)^3
+    can only be exceeded by an implementation bug.
+    """
+    y = N.coords_in_basis(g.coords)
+    s0 = denominator_lcm(y)
+    bound = (2 * s0) ** 3
+    step = denominator_lcm(N.ab_coords(g.coords))  # necessary divisor of the order
+    for s in range(step, bound + 1, step):
+        if N.contains(bch_pow(g, s)):
+            return s
+    raise SearchBoundExceededError(
+        f"relative order exceeded certified bound {bound}", bound
+    )
+
+
+def nil_reference_walk(delta, N, g):
+    """(preperiod, period, coords, orders) of the coset N g, walking the
+    Fraction canonical representatives N.canonical_rep(delta(x))."""
+    x = N.canonical_rep(g)
+    index = {}
+    path = []
+    while x.coords not in index:
+        index[x.coords] = len(path)
+        path.append(x)
+        x = N.canonical_rep(apply_endo(delta, x))
+    mu = index[x.coords]
+    orders = [nil_relative_order_search(N, p) for p in path]
+    return mu, len(path) - mu, [p.coords for p in path], orders

@@ -52,6 +52,12 @@ def _nil_doc(bracket, lattice_basis=((1, 0, 0), (0, 1, 0), (0, 0, 1))):
     return {"dim": 3, "bracket": bracket, "lattice_basis": [list(r) for r in lattice_basis]}
 
 
+_NIL_LIST_DOCS = [
+    (_nil_doc([["0", "0", "1"]]), "bracket"),
+    ({**_nil_doc({"0,1": ["0", "0", "1"]}), "endos": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}, "endos"),
+]
+
+
 def test_build_fixture_rejects_garbage():
     with pytest.raises(InvalidFixtureError):
         build_fixture({"n": 2, "A": [[1, 0], [0, 1]], "b": ["1/0", "0"]})
@@ -61,6 +67,10 @@ def test_build_fixture_rejects_garbage():
     for key in ("0,5", "0,-2"):
         with pytest.raises(InvalidFixtureError, match="outside"):
             build_fixture(_nil_doc({key: ["0", "0", "1"]}))
+    # "bracket" and "endos" must be JSON objects, not lists
+    for doc, key in _NIL_LIST_DOCS:
+        with pytest.raises(InvalidFixtureError, match=key):
+            build_fixture(doc)
 
 
 # --- classify command ------------------------------------------------------------
@@ -116,7 +126,7 @@ def test_cli_exit_code_bad_fixture(tmp_path):
     missing_keys.write_text('{"foo": 1}')
     out = run_cli("classify", "--fixture", str(missing_keys), "--point", "0,0")
     assert out.returncode == 2
-    lattice_errors = [
+    bad_docs = [(doc, "0,0,0") for doc, _ in _NIL_LIST_DOCS] + [
         # nil lattice of deficient rank in the abelianization
         (_nil_doc({"0,1": ["0", "0", "1"]}, [[1, 0, 0], [2, 0, 0], [0, 0, 1]]), "0,0,0"),
         # rank-deficient cover lattice
@@ -126,7 +136,7 @@ def test_cli_exit_code_bad_fixture(tmp_path):
         # cover lattice rows of the wrong length
         ({"n": 2, "A": [[2, 0], [0, 3]], "b": ["0", "0"], "L_basis": [[1, 0, 0], [0, 1, 0]]}, "0,0"),
     ]
-    for doc, point in lattice_errors:
+    for doc, point in bad_docs:
         path = tmp_path / "lattice.json"
         path.write_text(json.dumps(doc))
         out = run_cli("classify", "--fixture", str(path), "--point", point)
@@ -161,6 +171,19 @@ def test_cli_unknown_endo_exits_unsupported(command, extra):
     assert out.returncode == 3
     assert "Traceback" not in out.stderr
     assert "no map named 'nope'" in out.stderr
+
+
+@pytest.mark.parametrize("endos", [{}, None])
+def test_cli_nil_fixture_without_maps(endos, tmp_path):
+    doc = _nil_doc({"0,1": ["0", "0", "1"]})
+    if endos is not None:
+        doc["endos"] = endos
+    path = tmp_path / "no_maps.json"
+    path.write_text(json.dumps(doc))
+    out = run_cli("classify", "--fixture", str(path), "--point", "1/2,0,0")
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert "fixture has no maps" in out.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,18 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from nilorbit.errors import LatticeError, UnsupportedInputError
+from nilorbit.errors import ConsistencyError, LatticeError, UnsupportedInputError
+from nilorbit.fixtures import build_fixture, shipped
 from nilorbit.exactmath import prime_support
 from nilorbit.nilclass2 import (
     Class2Group,
     MalcevElement,
+    NilCosets,
     NilEndo,
     apply_endo,
     basis_root_subgroup,
@@ -27,6 +32,7 @@ from nilorbit.nilclass2 import (
     subgroup_index,
     unity_subalgebra,
 )
+from nilorbit.scan import density_report, render_report, scan_report
 
 G = Class2Group.heisenberg()
 X = MalcevElement(G, [1, 0, 0])
@@ -470,3 +476,37 @@ def test_equalizer_subalgebra_examples():
     # equalizers and unity spaces are closed under the bracket by construction
     s = unity_subalgebra(AUTO, include_nilpotent=True)
     assert s.dim == 1
+
+
+# --- the integer coset kernel --------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "matrix, block",
+    [
+        ([[F(1, 2), 0, 0], [0, 1, 0], [0, 0, F(1, 2)]], "horizontal block"),
+        ([[1, 0, 1], [0, 1, 0], [0, 0, 1]], "central directions into horizontal"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, F(1, 2)]], "central block"),
+        ([[1, 0, 0], [0, 1, 0], [F(1, 3), 0, 1]], "horizontal->central"),
+    ],
+)
+def test_nil_cosets_checks_map_blocks(matrix, block):
+    # maps that do not send N into itself fail one of the block identities
+    rows = tuple(tuple(F(x) for x in row) for row in matrix)
+    with pytest.raises(ConsistencyError, match=block):
+        NilCosets(NilEndo(G, rows, F(1)), N, 1, 2)
+
+
+def test_nil_reports_pinned():
+    # sha256 of scan and density reports recorded before the integer kernel,
+    # including a lattice whose basis is not the unit basis
+    pins = json.loads((Path(__file__).parent / "nil_report_pins.json").read_text())
+    fixtures = {"heisenberg": shipped("heisenberg")}
+    fixtures.update({name: build_fixture(doc) for name, doc in pins["fixtures"].items()})
+    for pin in pins["reports"]:
+        fx = fixtures[pin["fixture"]]
+        if pin["kind"] == "scan":
+            report = scan_report(fx, pin["bound"], endo_name=pin["endo"])
+        else:
+            report = density_report(fx, pin["bound"], endo_name=pin["endo"])
+        digest = hashlib.sha256(render_report(report).encode()).hexdigest()
+        assert digest == pin["sha256"], pin

@@ -1,14 +1,26 @@
-"""Property tests: the torus classifier against the direct Fraction oracle."""
+"""Property tests: the torus and nil classifiers against direct Fraction
+oracles."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from nilorbit.fixtures import build_fixture, shipped  # noqa: E402
+from nilorbit.nilclass2 import (  # noqa: E402
+    Class2Group,
+    MalcevElement,
+    classify_nil,
+    make_endo,
+    relative_order,
+    subgroup_generated,
+)
 from nilorbit.torus import TorusEndo, TorusPoint, classify  # noqa: E402
-from oracles import brute_orbit  # noqa: E402
+from oracles import brute_orbit, nil_reference_walk, nil_relative_order_search  # noqa: E402
 
 
 def rationals(max_den):
@@ -47,3 +59,68 @@ def test_classify_matches_oracle(case):
         assert p == TorusPoint(p.coords)
         assert hash(p) == hash(TorusPoint(p.coords))
         assert all(type(x) is Fraction and 0 <= x < 1 for x in p.coords)
+
+
+def _nil_systems():
+    """(lattice, maps) for three groups: heisenberg with both shipped maps
+    and a singular one; a central rank 2 group ([e0,e1] = e3, [e0,e2] = e4)
+    with a graded, a unimodular and a singular map; and the pinned `twisted`
+    fixture: the Heisenberg group with the non-unit lattice generated by
+    (2,0,0), (1/2,1,1/3) and (0,0,1), whose horizontal rows carry a
+    fractional central twist, with a unimodular, a graded and a singular
+    map."""
+    heis = shipped("heisenberg")
+    heis_maps = dict(heis.endos)
+    heis_maps["singular"] = make_endo(heis.group, [[1, 0, 0], [0, 0, 0], [0, 0, 0]], heis.lattice)
+
+    unit = [[int(i == j) for j in range(5)] for i in range(5)]
+    bracket = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    for (i, j), k in {(0, 1): 3, (0, 2): 4}.items():
+        bracket[i][j] = unit[k]
+        bracket[j][i] = [-x for x in unit[k]]
+    rank2 = Class2Group(bracket)
+    N5 = subgroup_generated([MalcevElement(rank2, row) for row in unit])
+    rank2_maps = {
+        name: make_endo(rank2, M, N5)
+        for name, M in {
+            "grading_2": [[(2 if i < 3 else 4) * (i == j) for j in range(5)] for i in range(5)],
+            "shear": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 1, 1, 0, 0],
+                      [0, 0, 0, 1, 0], [0, 0, 0, 1, 1]],
+            "singular": [[int(i == j == 0) for j in range(5)] for i in range(5)],
+        }.items()
+    }
+
+    pins = json.loads((Path(__file__).parent / "nil_report_pins.json").read_text())
+    twisted = build_fixture(pins["fixtures"]["twisted"])
+    return [(heis.lattice, heis_maps), (N5, rank2_maps), (twisted.lattice, twisted.endos)]
+
+
+NIL_SYSTEMS = _nil_systems()
+
+
+@st.composite
+def nil_maps_and_points(draw, max_den):
+    N, maps = draw(st.sampled_from(NIL_SYSTEMS))
+    name = draw(st.sampled_from(sorted(maps)))
+    coords = draw(st.lists(rationals(max_den), min_size=N.group.dim, max_size=N.group.dim))
+    return N, maps[name], MalcevElement(N.group, coords)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(nil_maps_and_points(12))
+def test_nil_relative_order_matches_search(case):
+    N, _, g = case
+    assert relative_order(N, g) == nil_relative_order_search(N, g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(nil_maps_and_points(6))
+def test_classify_nil_matches_reference_walk(case):
+    N, delta, g = case
+    cls, orbit = classify_nil(delta, N, g)
+    mu, lam, coords, orders = nil_reference_walk(delta, N, g)
+    assert (cls.preperiod, cls.period) == (mu, lam)
+    assert (orbit.preperiod, orbit.period) == (mu, lam)
+    assert [p.coords for p in orbit.points] == coords
+    assert all(type(x) is Fraction for p in orbit.points for x in p.coords)
+    assert list(cls.relative_order_trace) == orders
