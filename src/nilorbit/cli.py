@@ -93,14 +93,22 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _write_report(report: dict, out: str | None) -> None:
+    """Render the report to the file out, or to stdout when out is None."""
+    text = render_report(report)
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise UnsupportedInputError(f"cannot write report {out!r}: {exc.strerror or exc}") from exc
+
+
 def cmd_scan(args) -> int:
     fixture = load_fixture(args.fixture)
     report = scan_report(fixture, args.max_den, workers=args.workers, endo_name=args.endo)
-    text = render_report(report)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_report(report, args.out)
     if not report["ok"]:
         print("scan assertions failed; counterexamples are in the report", file=sys.stderr)
         return EXIT_ASSERTION
@@ -110,11 +118,7 @@ def cmd_scan(args) -> int:
 def cmd_density(args) -> int:
     fixture = load_fixture(args.fixture)
     report = density_report(fixture, args.m_max, endo_name=args.endo)
-    text = render_report(report)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_report(report, args.out)
     return EXIT_OK if report["ok"] else EXIT_ASSERTION
 
 

@@ -12,6 +12,8 @@ import itertools
 import json
 import operator
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from .errors import UnsupportedInputError
@@ -32,8 +34,9 @@ def _exact_order_states(m: int, n: int):
             yield tup
 
 
-def _point_str(nums, m: int) -> str:
-    return ",".join(str(Fraction(a, m)) for a in nums)
+def _point_strs(m: int) -> list[str]:
+    """str(Fraction(a, m)) for every numerator a mod m."""
+    return [str(Fraction(a, m)) for a in range(m)]
 
 
 class _TorusGrid(TorusGrid):
@@ -125,12 +128,13 @@ def _denominator_table(payload):
     grid = family(fixture, endo_name, m)
     points = [(nums, grid.encode(nums)) for nums in _exact_order_states(m, grid.dim)]
     memo = sweep_orbits(grid.step, [state for _, state in points])
+    coord = _point_strs(m)
     rows = []
     order_bad = None
     support_bad = None
     for nums, state in points:
         pre, per = memo[state]
-        point = _point_str(nums, m)
+        point = ",".join([coord[a] for a in nums])
         rows.append(
             {
                 "point": point,
@@ -143,10 +147,12 @@ def _denominator_table(payload):
         if pre == 0:
             o1 = grid.order(state)
             o2 = grid.order(grid.step(state))
-            if o1 != o2 and order_bad is None:
-                order_bad = point
-            if prime_support(o1) != prime_support(o2) and support_bad is None:
-                support_bad = point
+            # equal orders have equal prime support
+            if o1 != o2:
+                if order_bad is None:
+                    order_bad = point
+                if support_bad is None and prime_support(o1) != prime_support(o2):
+                    support_bad = point
     return m, rows, order_bad, support_bad
 
 
@@ -277,7 +283,12 @@ def density_report(fixture, m_max: int, endo_name=None) -> dict:
         grid = family(fixture, endo_name, m)
         starts = {nums: grid.encode(nums) for nums in itertools.product(range(m), repeat=grid.dim)}
         memo = sweep_orbits(grid.step, starts.values())
-        missing = [_point_str(nums, m) for nums, state in starts.items() if memo[state][0] != 0]
+        coord = _point_strs(m)
+        missing = [
+            ",".join([coord[a] for a in nums])
+            for nums, state in starts.items()
+            if memo[state][0] != 0
+        ]
         cells[str(m)] = {
             "admissible": True,
             "cells": m**grid.dim,
@@ -295,7 +306,62 @@ def density_report(fixture, m_max: int, endo_name=None) -> dict:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as json.dumps(report, sort_keys=True, indent=2) + "\\n".
+
+    Byte for byte the same text for any tree of dicts with str keys,
+    lists, tuples, str, int, bool, None and float, without the pure-Python
+    encoder that json.dumps falls back to whenever it indents.
+    """
+    return _render(report, "") + "\n"
+
+
+def _render(value, indent: str) -> str:
+    fmt = _SCALARS.get(type(value))
+    if fmt is not None:
+        return fmt(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        keys = tuple(sorted(value))
+        # scan rows and density cells hold scalars: format those without a call
+        slots = [
+            fmt(v) if (fmt := _SCALARS.get(type(v))) else _render(v, inner)
+            for v in map(value.__getitem__, keys)
+        ]
+        return _dict_template(keys, indent) % tuple(slots)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        sep = ",\n" + inner
+        return "[\n" + inner + sep.join([_render(v, inner) for v in value]) + "\n" + indent + "]"
+    # subclasses of str and int (bool has none, so it never gets here)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    # floats render as json.dumps renders them; anything else raises TypeError
+    return json.dumps(value)
+
+
+# exact types only, so that True is not formatted as an int
+_SCALARS = {
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    int: int.__repr__,
+}
+
+
+@lru_cache(maxsize=256)
+def _dict_template(keys: tuple, indent: str) -> str:
+    """'{"key": %s, ...}' laid out at this indent, one slot per sorted key.
+
+    A non-str key raises TypeError here.
+    """
+    inner = indent + "  "
+    slots = [inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
+    return "{\n" + ",\n".join(slots) + "\n" + indent + "}"
 
 
 def classification_row(cls: Classification) -> dict:

@@ -131,11 +131,21 @@ class TorusEndo:
         return self.linear == freeze_matrix(mat_identity(self.dim))
 
     def translation_fractions(self) -> tuple[Fraction, ...]:
+        return self._translation_fractions
+
+    @cached_property
+    def _translation_fractions(self) -> tuple[Fraction, ...]:
+        # an irrational translation raises here, so it is never cached
         if self.has_irrational_translation:
             raise UnsupportedInputError(
                 "operation needs a rational translation part"
             )
         return tuple(Fraction(x) for x in self.translation)
+
+    @cached_property
+    def translation_order(self) -> int:
+        """Relative order of the (rational) translation."""
+        return relative_order(self._translation_fractions)
 
     def __str__(self):
         return f"x -> {list(map(list, self.linear))} x + ({', '.join(map(str, self.translation))})"
@@ -225,7 +235,7 @@ def classify(f: TorusEndo, q) -> tuple[Classification, OrbitResult]:
     if len(q) != f.dim:
         raise ValueError(f"point has length {len(q)}, map has dimension {f.dim}")
     qs = [x % 1 for x in _require_rational_point(q)]
-    m = lcm(relative_order(qs), relative_order(f.translation_fractions()))
+    m = lcm(relative_order(qs), f.translation_order)
     return classify_orbit(TorusGrid(f, m), tuple(int(x * m) % m for x in qs))
 
 

@@ -3,10 +3,11 @@
 These deliberately avoid the library's code paths: determinants by textbook
 Gaussian elimination, lattice membership by greedy triangular reduction,
 totients by coprime counting, orbits by direct Fraction iteration, nil
-relative orders by stepping through multiples and nil orbits by Fraction
-BCH products.
+relative orders by stepping through multiples, nil orbits by Fraction
+BCH products and report text by the standard library's JSON encoder.
 """
 
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -135,3 +136,8 @@ def nil_reference_walk(delta, N, g):
     mu = index[x.coords]
     orders = [nil_relative_order_search(N, p) for p in path]
     return mu, len(path) - mu, [p.coords for p in path], orders
+
+
+def json_report_text(report):
+    """A report rendered by the standard library: sorted keys, indent 2."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"

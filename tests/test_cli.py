@@ -217,6 +217,19 @@ def test_cli_rejects_workers_below_one(workers, monkeypatch, capsys, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "command, extra", [("scan", ["--max-den", "3"]), ("density", ["--m-max", "3"])]
+)
+def test_cli_unwritable_out_exits_unsupported(command, extra, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    out = run_cli(command, "--fixture", str(FIXTURES / "a1.json"), *extra, "--out", str(target))
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert "cannot write report" in out.stderr
+    assert not target.parent.exists()
+
+
 # --- scan and density commands -------------------------------------------------------
 
 def test_cli_scan_writes_report(tmp_path):

@@ -1,5 +1,5 @@
 """Property tests: the torus and nil classifiers against direct Fraction
-oracles."""
+oracles, and the report renderer against the standard library's encoder."""
 
 import json
 from fractions import Fraction
@@ -10,7 +10,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nilorbit.fixtures import build_fixture, shipped  # noqa: E402
+from nilorbit.fixtures import (  # noqa: E402
+    TorusFixture,
+    build_fixture,
+    list_fixtures,
+    load_fixture,
+    shipped,
+)
 from nilorbit.nilclass2 import (  # noqa: E402
     Class2Group,
     MalcevElement,
@@ -19,8 +25,14 @@ from nilorbit.nilclass2 import (  # noqa: E402
     relative_order,
     subgroup_generated,
 )
+from nilorbit.scan import density_report, render_report, scan_report  # noqa: E402
 from nilorbit.torus import TorusEndo, TorusPoint, classify  # noqa: E402
-from oracles import brute_orbit, nil_reference_walk, nil_relative_order_search  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_orbit,
+    json_report_text,
+    nil_reference_walk,
+    nil_relative_order_search,
+)
 
 
 def rationals(max_den):
@@ -45,7 +57,7 @@ def affine_maps_and_points(draw):
     return A, b, q
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(affine_maps_and_points())
 def test_classify_matches_oracle(case):
     A, b, q = case
@@ -106,14 +118,14 @@ def nil_maps_and_points(draw, max_den):
     return N, maps[name], MalcevElement(N.group, coords)
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(nil_maps_and_points(12))
 def test_nil_relative_order_matches_search(case):
     N, _, g = case
     assert relative_order(N, g) == nil_relative_order_search(N, g)
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(nil_maps_and_points(6))
 def test_classify_nil_matches_reference_walk(case):
     N, delta, g = case
@@ -124,3 +136,54 @@ def test_classify_nil_matches_reference_walk(case):
     assert [p.coords for p in orbit.points] == coords
     assert all(type(x) is Fraction for p in orbit.points for x in p.coords)
     assert list(cls.relative_order_trace) == orders
+
+
+# pieces the renderer must escape, or must not read as a %-format in a key
+_tricky = st.sampled_from(
+    ["%", "%s", "%%", '"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\u2028", "\U0001f600"]
+)
+json_strings = st.lists(_tricky | st.characters(), max_size=4).map("".join)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(max_value=-(2**70))
+    | st.floats()
+    | json_strings
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(json_strings, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300)
+@given(json_trees)
+def test_render_report_matches_json_dumps(tree):
+    assert render_report(tree) == json_report_text(tree)
+
+
+def test_render_report_matches_json_dumps_on_shipped_reports():
+    reports = []
+    for _, path, _, _ in list_fixtures():
+        fixture = load_fixture(path)
+        if isinstance(fixture, TorusFixture) and fixture.endo.is_linear:
+            reports += [scan_report(fixture, m) for m in range(1, 11)]
+            reports += [density_report(fixture, m) for m in range(1, 13)]
+    heisenberg = shipped("heisenberg")
+    for endo in sorted(heisenberg.endos):
+        reports += [scan_report(heisenberg, m, endo_name=endo) for m in range(1, 5)]
+        reports += [density_report(heisenberg, m, endo_name=endo) for m in range(1, 6)]
+    assert len(reports) == 5 * 22 + 2 * 9
+    for report in reports:
+        assert render_report(report) == json_report_text(report)
+    for unsupported in ({"a": object()}, [{1, 2}], {("a",): 1}):
+        with pytest.raises(TypeError):
+            json_report_text(unsupported)
+        with pytest.raises(TypeError):
+            render_report(unsupported)
+    with pytest.raises(TypeError):
+        render_report({1: "int keys are not report keys"})

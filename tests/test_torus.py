@@ -144,6 +144,34 @@ def test_classify_rejects_irrational_translation():
         classify(f, [F(0), F(0)])
 
 
+def test_translation_set_up_built_once_per_map(monkeypatch):
+    from nilorbit import torus
+
+    calls = []
+
+    def counting(q):
+        calls.append(tuple(q))
+        return relative_order(q)
+
+    monkeypatch.setattr(torus, "relative_order", counting)
+    b = (F(1, 2), F(0))
+    f = TorusEndo([[2, 1], [1, 1]], b)
+    for q in ([F(1, 5), F(1, 7)], [F(1, 3), F(2, 3)], [F(0), F(1, 4)]):
+        classify(f, q)
+    assert calls.count(b) == 1
+    assert f.translation_fractions() is f.translation_fractions()
+    # a new map builds its own
+    classify(TorusEndo([[2, 1], [1, 1]], b), [F(1, 5), F(1, 7)])
+    assert calls.count(b) == 2
+    # an irrational translation is never cached: every call raises
+    g = TorusEndo([[2, 0], [0, 1]], [R2, F(0)])
+    for _ in range(2):
+        with pytest.raises(UnsupportedInputError):
+            g.translation_fractions()
+        with pytest.raises(UnsupportedInputError):
+            g.translation_order
+
+
 def test_orbit_trace_shows_order_drop_on_tail():
     cls, orbit = classify(TorusEndo([[2]]), [F(1, 2)])
     assert cls.relative_order_trace == (2, 1)
