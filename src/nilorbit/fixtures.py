@@ -119,8 +119,16 @@ def _object_field(doc: dict, key: str) -> dict:
     return value
 
 
+def _parse_int(x) -> int:
+    """An integer given exactly: 2, "2" and 2.0 load; 2.5 does not."""
+    value = Fraction(str(x))
+    if value.denominator != 1:
+        raise InvalidFixtureError(f"expected an integer, got {x!r}")
+    return int(value)
+
+
 def _parse_int_matrix(rows):
-    return [[int(x) for x in row] for row in rows]
+    return [[_parse_int(x) for x in row] for row in rows]
 
 
 def load_fixture(path):
@@ -147,11 +155,11 @@ def build_fixture(doc: dict, default_name: str = "inline"):
             return TorusFixture(name, description, endo, points, doc.get("expect", {}))
         if kind == "cover":
             endo = TorusEndo(_parse_int_matrix(doc["A"]), _parse_vector(doc["b"]))
-            rows = tuple(tuple(int(x) for x in row) for row in doc["L_basis"])
+            rows = tuple(map(tuple, _parse_int_matrix(doc["L_basis"])))
             cover_lattice(rows, endo.linear)
             return CoverFixture(name, description, endo, rows)
         if kind == "nil":
-            m = int(doc["dim"])
+            m = _parse_int(doc["dim"])
             tensor = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
             for key, vec in _object_field(doc, "bracket").items():
                 i, j = (int(part) for part in key.split(","))
@@ -176,7 +184,7 @@ def build_fixture(doc: dict, default_name: str = "inline"):
                 (_parse_int_matrix(rep["F"]), [Fraction(str(x)) for x in rep["t"]])
                 for rep in doc["reps"]
             ]
-            group = validate_bieberbach(int(doc["n"]), reps)
+            group = validate_bieberbach(_parse_int(doc["n"]), reps)
             endo_doc = doc["endo"]
             endo = validate_endo(
                 group,

@@ -23,6 +23,7 @@ from .exactmath import (
     geometric_sum,
     hnf_basis,
     is_integer_matrix,
+    lcm,
     mat_equal,
     mat_identity,
     mat_mul,
@@ -32,7 +33,7 @@ from .exactmath import (
     solve_integer,
 )
 from .orbits import Classification, classify_orbit
-from .torus import TorusEndo, classify_fiber, relative_order
+from .torus import TorusEndo, TorusGrid, classify_fiber, relative_order
 
 
 @dataclass(frozen=True)
@@ -196,22 +197,6 @@ def validate_endo(group: BieberbachGroup, A, b) -> InfraEndo:
 
 
 @dataclass(frozen=True)
-class InfraPoint:
-    """Canonical representative of a group orbit: the lexicographically least
-    element of {F_i x + t_i mod Z^n}."""
-
-    coords: tuple[Fraction, ...]
-
-
-def canonical_point(group: BieberbachGroup, x) -> InfraPoint:
-    candidates = []
-    for rep in group.reps:
-        moved = rep.apply(x)
-        candidates.append(tuple(Fraction(v) % 1 for v in moved))
-    return InfraPoint(min(candidates))
-
-
-@dataclass(frozen=True)
 class TorusCover:
     """A finite torus cover R^n/L -> flat manifold, L given by HNF rows."""
 
@@ -267,24 +252,26 @@ def holonomy_power_cover(group: BieberbachGroup) -> TorusCover:
     return TorusCover(group, freeze_matrix(rows), index)
 
 
-class FlatPoints:
-    """An admissible map on the flat manifold: states are the coordinates of
-    canonical representatives of group orbits."""
+class FlatPoints(TorusGrid):
+    """An admissible map f on the flat manifold, walked on numerators of the
+    grid (1/m)Z^n: a state is the least numerator tuple of a group orbit.
 
-    def __init__(self, group: BieberbachGroup, endo: InfraEndo):
-        self.group = group
-        self.endo = endo
+    Each representative (F, t) is an integer affine map on numerators, so
+    m must also be a multiple of the relative order of every t.
+    """
 
-    def step(self, coords):
-        moved = mat_vec(self.endo.linear, list(coords))
-        image = [m + b for m, b in zip(moved, self.endo.translation)]
-        return canonical_point(self.group, image).coords
+    def __init__(self, group: BieberbachGroup, f: TorusEndo, m: int):
+        super().__init__(f, m)
+        self._images = [TorusGrid(TorusEndo(rep.F, rep.t), m).step for rep in group.reps]
+        lift, canonical = self.step, self.canonical
 
-    def order(self, coords) -> int:
-        return relative_order(coords)
+        def step(state):
+            return canonical(lift(state))
 
-    def decode(self, coords) -> InfraPoint:
-        return InfraPoint(coords)
+        self.step = step
+
+    def canonical(self, state):
+        return min(image(state) for image in self._images)
 
 
 def classify_infra(
@@ -292,12 +279,13 @@ def classify_infra(
 ) -> Classification:
     """Exact (preperiod, period) of a rational point on the flat manifold.
 
-    The orbit is computed directly on canonical representatives; the verdict
-    is cross-checked against the classification of the whole fiber in a torus
-    cover, "fitting" (R^n/Z^n, invertible maps only) or "gamma_power" (see
-    holonomy_power_cover); "auto" picks the first when the linear part is
-    invertible.  The point is periodic iff some fiber point is, and for the
-    Fitting cover the fiber of a periodic point is entirely periodic.
+    The orbit is walked on least numerator tuples of group orbits (see
+    FlatPoints); the verdict is cross-checked against the classification of
+    the whole fiber in a torus cover, "fitting" (R^n/Z^n, invertible maps
+    only) or "gamma_power" (see holonomy_power_cover); "auto" picks the first
+    when the linear part is invertible.  The point is periodic iff some fiber
+    point is, and for the Fitting cover the fiber of a periodic point is
+    entirely periodic.
     """
     xs = [Fraction(v) for v in x]
     if len(xs) != group.dim:
@@ -313,7 +301,11 @@ def classify_infra(
     else:
         raise ValueError(f"unknown cover {cover!r}: use 'auto', 'fitting' or 'gamma_power'")
 
-    base, _ = classify_orbit(FlatPoints(group, endo), canonical_point(group, xs).coords)
+    # numerators mod m order like the points a/m in [0, 1)
+    m = lcm(relative_order(xs), lift.translation_order,
+            *(relative_order(rep.t) for rep in group.reps))
+    flat = FlatPoints(group, lift, m)
+    base, _ = classify_orbit(flat, flat.canonical(tuple(int(v * m) % m for v in xs)))
     _, fiber_cls = classify_fiber(rows, lift, [rep.apply(xs) for rep in group.reps])
     if any(c.periodic for c in fiber_cls) != base.periodic:
         raise ConsistencyError(

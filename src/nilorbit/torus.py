@@ -241,36 +241,26 @@ def classify(f: TorusEndo, q) -> tuple[Classification, OrbitResult]:
 
 def fixed_point(f: TorusEndo):
     """A fixed point on the torus, or None: solves (A - I) x == -b (mod Z^n)."""
-    b = f.translation_fractions()
-    M = mat_sub(f.linear, mat_identity(f.dim))
-    x = solve_mod_lattice(M, [-v for v in b])
-    if x is None:
-        return None
-    return TorusPoint(tuple(x))
+    return periodic_point_of_period(f, 1)
 
 
 def periodic_point_of_period(f: TorusEndo, k: int):
-    """A point of period dividing k, or None.
-
-    Fixed points of the k-th iterate solve (A^k - I) x == -(A^{k-1}+...+I) b
-    modulo Z^n.
-    """
+    """A point of period dividing k, or None (see _period_solution)."""
     if k < 1:
         raise ValueError("period must be positive")
-    b = f.translation_fractions()
+    x = _period_solution(f, k, f.translation_fractions())
+    return None if x is None else TorusPoint(tuple(x))
+
+
+def _period_solution(f: TorusEndo, k: int, b):
+    """A solution of the period-k equation, or None.
+
+    Fixed points of the k-th iterate solve (A^k - I) x == -(A^{k-1}+...+I) b
+    modulo Z^n; b may be rational or quadratic.
+    """
     Mk = mat_sub(mat_pow(f.linear, k), mat_identity(f.dim))
     c = mat_vec(geometric_sum(f.linear, k), list(b))
-    x = solve_mod_lattice(Mk, [-v for v in c])
-    if x is None:
-        return None
-    return TorusPoint(tuple(x))
-
-
-def _iterate_solvable(f: TorusEndo, k: int) -> bool:
-    """Solvability of the period-k equation, allowing quadratic translations."""
-    Mk = mat_sub(mat_pow(f.linear, k), mat_identity(f.dim))
-    c = mat_vec(geometric_sum(f.linear, k), list(f.translation))
-    return solve_mod_lattice(Mk, [-v for v in c]) is not None
+    return solve_mod_lattice(Mk, [-v for v in c])
 
 
 class TranslationVerdict(enum.Enum):
@@ -327,7 +317,7 @@ def has_periodic_point(f: TorusEndo, k_max: int = 64) -> PeriodicPointSearch:
     if not has_unity_eigenvalue(f.linear):
         return PeriodicPointSearch("yes", k=1)
     for k in range(1, k_max + 1):
-        if _iterate_solvable(f, k):
+        if _period_solution(f, k, f.translation) is not None:
             return PeriodicPointSearch("yes", k=k)
     return PeriodicPointSearch("unknown", bound=k_max)
 

@@ -4,12 +4,13 @@ These deliberately avoid the library's code paths: determinants by textbook
 Gaussian elimination, lattice membership by greedy triangular reduction,
 totients by coprime counting, orbits by direct Fraction iteration, nil
 relative orders by stepping through multiples, nil orbits by Fraction
-BCH products and report text by the standard library's JSON encoder.
+BCH products, flat-manifold orbits by a Fraction min over holonomy images
+and report text by the standard library's JSON encoder.
 """
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from nilorbit.errors import SearchBoundExceededError
 from nilorbit.exactmath import denominator_lcm
@@ -136,6 +137,28 @@ def nil_reference_walk(delta, N, g):
     mu = index[x.coords]
     orders = [nil_relative_order_search(N, p) for p in path]
     return mu, len(path) - mu, [p.coords for p in path], orders
+
+
+def flat_reference_walk(group, endo, x):
+    """(preperiod, period, orders) of the group orbit of x under endo,
+    walking Fraction canonical points: the least of the images
+    rep.apply(p) mod 1 over the holonomy representatives."""
+
+    def canonical(p):
+        return min(tuple(Fraction(v) % 1 for v in rep.apply(p)) for rep in group.reps)
+
+    x = canonical(x)
+    index = {}
+    path = []
+    while x not in index:
+        index[x] = len(path)
+        path.append(x)
+        moved = [sum(a * v for a, v in zip(row, x)) + b
+                 for row, b in zip(endo.linear, endo.translation)]
+        x = canonical(moved)
+    mu = index[x]
+    orders = [lcm(*(v.denominator for v in p)) for p in path]
+    return mu, len(path) - mu, orders
 
 
 def json_report_text(report):

@@ -52,6 +52,21 @@ def _nil_doc(bracket, lattice_basis=((1, 0, 0), (0, 1, 0), (0, 0, 1))):
     return {"dim": 3, "bracket": bracket, "lattice_basis": [list(r) for r in lattice_basis]}
 
 
+def _klein_doc(F=((1, 0), (0, -1)), A=((3, 0), (0, 2))):
+    return {"n": 2, "reps": [{"F": [[1, 0], [0, 1]], "t": ["0", "0"]},
+                             {"F": [list(r) for r in F], "t": ["1/2", "0"]}],
+            "endo": {"A": [list(r) for r in A], "b": ["0", "0"]}}
+
+
+# non-integral JSON numbers in integer matrices, which int() would truncate
+_FLOAT_ENTRY_DOCS = [
+    {"n": 2, "A": [[2.5, 1], [1, 1]], "b": ["0", "0"]},
+    {"n": 2, "A": [[2.5, 0], [0, 3]], "b": ["0", "0"], "L_basis": [[2, 0], [0, 1]]},
+    {"n": 2, "A": [[2, 0], [0, 3]], "b": ["0", "0"], "L_basis": [[2.5, 0], [0, 1]]},
+    _klein_doc(F=((1, 0), (0, -1.5))),
+    _klein_doc(A=((3.5, 0), (0, 2))),
+]
+
 _NIL_LIST_DOCS = [
     (_nil_doc([["0", "0", "1"]]), "bracket"),
     ({**_nil_doc({"0,1": ["0", "0", "1"]}), "endos": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}, "endos"),
@@ -71,6 +86,18 @@ def test_build_fixture_rejects_garbage():
     for doc, key in _NIL_LIST_DOCS:
         with pytest.raises(InvalidFixtureError, match=key):
             build_fixture(doc)
+    for doc in _FLOAT_ENTRY_DOCS:
+        with pytest.raises(InvalidFixtureError, match="expected an integer"):
+            build_fixture(doc)
+    # integral entries load however they are written
+    for two in (2, "2", 2.0):
+        fx = build_fixture({"n": 2, "A": [[two, 1], [1, 1]], "b": ["0", "0"]})
+        assert fx.endo.linear == ((2, 1), (1, 1))
+        fx = build_fixture({"n": 2, "A": [[2, 0], [0, 3]], "b": ["0", "0"],
+                            "L_basis": [[two, 0], [0, 1]]})
+        assert fx.lattice_rows == ((2, 0), (0, 1))
+        fx = build_fixture(_klein_doc(A=((3, 0), (0, two))))
+        assert fx.endo.linear == ((3, 0), (0, 2))
 
 
 # --- classify command ------------------------------------------------------------
@@ -135,7 +162,7 @@ def test_cli_exit_code_bad_fixture(tmp_path):
         ({"n": 2, "A": [[0, 1], [1, 0]], "b": ["0", "0"], "L_basis": [[2, 0], [0, 1]]}, "0,0"),
         # cover lattice rows of the wrong length
         ({"n": 2, "A": [[2, 0], [0, 3]], "b": ["0", "0"], "L_basis": [[1, 0, 0], [0, 1, 0]]}, "0,0"),
-    ]
+    ] + [(doc, "1/3,1/5") for doc in _FLOAT_ENTRY_DOCS]
     for doc, point in bad_docs:
         path = tmp_path / "lattice.json"
         path.write_text(json.dumps(doc))

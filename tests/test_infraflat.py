@@ -6,7 +6,7 @@ import pytest
 
 from nilorbit.errors import InvalidFixtureError, UnsupportedInputError
 from nilorbit.infraflat import (
-    canonical_point,
+    FlatPoints,
     classify_infra,
     fitting_lift,
     holonomy_power_cover,
@@ -87,14 +87,19 @@ def test_more_admissible_and_inadmissible_maps():
 
 def test_canonical_point_idempotent_and_orbit_constant():
     group = klein()
+    endo = klein_endo(group)
+    m = 12
+    flat = FlatPoints(group, TorusEndo(endo.linear, endo.translation), m)
     rng = random.Random(19)
     for _ in range(1000):
-        x = [F(rng.randint(0, 30), rng.randint(1, 12)) for _ in range(2)]
-        rep = canonical_point(group, x)
-        assert canonical_point(group, rep.coords) == rep
+        state = tuple(rng.randrange(m) for _ in range(2))
+        rep = flat.canonical(state)
+        assert all(type(a) is int and 0 <= a < m for a in rep)
+        assert flat.canonical(rep) == rep
         for hol in group.reps:
-            moved = [F(v) % 1 for v in hol.apply(x)]
-            assert canonical_point(group, moved) == rep
+            # the image a/m -> F a/m + t, back on numerators
+            moved = tuple(int(v % 1 * m) for v in hol.apply([F(a, m) for a in state]))
+            assert flat.canonical(moved) == rep
 
 
 # --- covers ---------------------------------------------------------------------------

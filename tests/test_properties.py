@@ -1,7 +1,9 @@
-"""Property tests: the torus and nil classifiers against direct Fraction
-oracles, and the report renderer against the standard library's encoder."""
+"""Property tests: the torus, nil and flat-manifold classifiers against
+direct Fraction oracles, and the report renderer against the standard
+library's encoder."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from nilorbit.errors import InvalidFixtureError  # noqa: E402
 from nilorbit.fixtures import (  # noqa: E402
     TorusFixture,
     build_fixture,
@@ -17,6 +20,7 @@ from nilorbit.fixtures import (  # noqa: E402
     load_fixture,
     shipped,
 )
+from nilorbit.infraflat import classify_infra, validate_bieberbach, validate_endo  # noqa: E402
 from nilorbit.nilclass2 import (  # noqa: E402
     Class2Group,
     MalcevElement,
@@ -29,6 +33,7 @@ from nilorbit.scan import density_report, render_report, scan_report  # noqa: E4
 from nilorbit.torus import TorusEndo, TorusPoint, classify  # noqa: E402
 from oracles import (  # noqa: E402
     brute_orbit,
+    flat_reference_walk,
     json_report_text,
     nil_reference_walk,
     nil_relative_order_search,
@@ -135,6 +140,78 @@ def test_classify_nil_matches_reference_walk(case):
     assert (orbit.preperiod, orbit.period) == (mu, lam)
     assert [p.coords for p in orbit.points] == coords
     assert all(type(x) is Fraction for p in orbit.points for x in p.coords)
+    assert list(cls.relative_order_trace) == orders
+
+
+def _diag(*entries):
+    return [[x if i == j else 0 for j, _ in enumerate(entries)] for i, x in enumerate(entries)]
+
+
+def _flat_systems():
+    """(group, invertible maps, singular maps) for four flat manifolds: the
+    Klein bottle, the 3-dimensional order-2 group of
+    test_three_dimensional_flat_manifold, the 2-torus (trivial holonomy) and
+    the Hantzsche-Wendt manifold (holonomy Z/2 x Z/2).
+
+    The admissible maps are drawn once, from a seeded generator: diagonal
+    and sparse integer matrices (constant maps, A = 0, are admissible for
+    every group) with translations of denominator at most 4, kept when
+    validate_endo admits them."""
+    half = Fraction(1, 2)
+    groups = [
+        validate_bieberbach(2, [(_diag(1, 1), [0, 0]), (_diag(1, -1), [half, 0])]),
+        validate_bieberbach(3, [(_diag(1, 1, 1), [0, 0, 0]), (_diag(1, -1, -1), [half, 0, 0])]),
+        validate_bieberbach(2, [(_diag(1, 1), [0, 0])]),
+        validate_bieberbach(3, [
+            (_diag(1, 1, 1), [0, 0, 0]),
+            (_diag(1, -1, -1), [half, 0, 0]),
+            (_diag(-1, 1, -1), [0, half, half]),
+            (_diag(-1, -1, 1), [half, half, half]),
+        ]),
+    ]
+    rng = random.Random(7)
+    systems = []
+    for group in groups:
+        n = group.dim
+        maps = ([], [])
+        while min(map(len, maps)) < 8:
+            if rng.random() < 0.5:
+                A = _diag(*(rng.randint(-4, 4) for _ in range(n)))
+            else:
+                A = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(n)] for _ in range(n)]
+            b = [Fraction(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(n)]
+            try:
+                endo = validate_endo(group, A, b)
+            except InvalidFixtureError:
+                continue
+            kind = maps[endo.determinant == 0]
+            if len(kind) < 8:
+                kind.append(endo)
+        systems.append((group, *maps))
+    return systems
+
+
+FLAT_SYSTEMS = _flat_systems()
+
+
+@st.composite
+def flat_maps_and_points(draw):
+    group, invertible, singular = draw(st.sampled_from(FLAT_SYSTEMS))
+    if draw(st.booleans()):
+        endo, covers = draw(st.sampled_from(invertible)), ("auto", "fitting", "gamma_power")
+    else:
+        endo, covers = draw(st.sampled_from(singular)), ("auto", "gamma_power")
+    x = draw(st.lists(rationals(8), min_size=group.dim, max_size=group.dim))
+    return group, endo, x, draw(st.sampled_from(covers))
+
+
+@settings(max_examples=150)
+@given(flat_maps_and_points())
+def test_classify_infra_matches_reference_walk(case):
+    group, endo, x, cover = case
+    cls = classify_infra(group, endo, x, cover=cover)
+    mu, lam, orders = flat_reference_walk(group, endo, x)
+    assert (cls.preperiod, cls.period) == (mu, lam)
     assert list(cls.relative_order_trace) == orders
 
 
