@@ -200,10 +200,20 @@ def is_integral(x: Scalar) -> bool:
     return Fraction(x).denominator == 1
 
 
+def parse_integer(x) -> int:
+    """An integer given exactly: 2, "2" and 2.0 parse; 2.5 raises ValueError."""
+    value = Fraction(str(x))
+    if value.denominator != 1:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(value)
+
+
 def parse_scalar(text) -> Scalar:
     """Parse "p/q" strings or {"a": "p/q", "b": "p/q", "d": int} objects."""
     if isinstance(text, dict):
-        return QuadExt(Fraction(str(text["a"])), Fraction(str(text["b"])), int(text["d"]))
+        return QuadExt(
+            Fraction(str(text["a"])), Fraction(str(text["b"])), parse_integer(text["d"])
+        )
     if isinstance(text, int):
         return Fraction(text)
     return Fraction(str(text))

@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import InvalidFixtureError, LatticeError, UnsupportedInputError
-from .exactmath import parse_scalar
+from .exactmath import parse_integer, parse_scalar
 from .infraflat import BieberbachGroup, InfraEndo, validate_bieberbach, validate_endo
 from .nilclass2 import (
     Class2Group,
@@ -119,16 +119,8 @@ def _object_field(doc: dict, key: str) -> dict:
     return value
 
 
-def _parse_int(x) -> int:
-    """An integer given exactly: 2, "2" and 2.0 load; 2.5 does not."""
-    value = Fraction(str(x))
-    if value.denominator != 1:
-        raise InvalidFixtureError(f"expected an integer, got {x!r}")
-    return int(value)
-
-
 def _parse_int_matrix(rows):
-    return [[_parse_int(x) for x in row] for row in rows]
+    return [[parse_integer(x) for x in row] for row in rows]
 
 
 def load_fixture(path):
@@ -159,7 +151,7 @@ def build_fixture(doc: dict, default_name: str = "inline"):
             cover_lattice(rows, endo.linear)
             return CoverFixture(name, description, endo, rows)
         if kind == "nil":
-            m = _parse_int(doc["dim"])
+            m = parse_integer(doc["dim"])
             tensor = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
             for key, vec in _object_field(doc, "bracket").items():
                 i, j = (int(part) for part in key.split(","))
@@ -184,7 +176,7 @@ def build_fixture(doc: dict, default_name: str = "inline"):
                 (_parse_int_matrix(rep["F"]), [Fraction(str(x)) for x in rep["t"]])
                 for rep in doc["reps"]
             ]
-            group = validate_bieberbach(_parse_int(doc["n"]), reps)
+            group = validate_bieberbach(parse_integer(doc["n"]), reps)
             endo_doc = doc["endo"]
             endo = validate_endo(
                 group,

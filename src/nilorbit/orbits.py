@@ -19,15 +19,14 @@ def iterate_orbit(step: Callable[[State], State], start: State):
     Returns (preperiod, period, path) where path lists the preperiod tail
     followed by one full cycle; all listed states are distinct.
     """
+    # insertion-ordered: the keys are the path, the values its indices
     index: dict = {}
-    path = []
     x = start
     while x not in index:
-        index[x] = len(path)
-        path.append(x)
+        index[x] = len(index)
         x = step(x)
     mu = index[x]
-    return mu, len(path) - mu, path
+    return mu, len(index) - mu, list(index)
 
 
 def classify_orbit(system, start):
@@ -38,8 +37,8 @@ def classify_orbit(system, start):
     that point.  Returns (Classification, OrbitResult).
     """
     mu, lam, path = iterate_orbit(system.step, start)
-    trace = tuple(system.order(s) for s in path)
-    points = tuple(system.decode(s) for s in path)
+    trace = tuple(map(system.order, path))
+    points = tuple(map(system.decode, path))
     return Classification(mu, lam, trace), OrbitResult(mu, lam, points[:mu], points[mu:])
 
 
@@ -54,22 +53,22 @@ def sweep_orbits(step: Callable[[State], State], states: Iterable[State]):
     for start in states:
         if start in memo:
             continue
-        path = []
-        index = {}
+        index: dict = {}
         x = start
         while x not in memo and x not in index:
-            index[x] = len(path)
-            path.append(x)
+            index[x] = len(index)
             x = step(x)
         if x in index:
             mu = index[x]
-            lam = len(path) - mu
-            for i, s in enumerate(path):
-                memo[s] = (max(0, mu - i), lam) if i < mu else (0, lam)
+            lam = len(index) - mu
+            path = list(index)
+            for i in range(mu):
+                memo[path[i]] = (mu - i, lam)
+            memo.update(dict.fromkeys(path[mu:], (0, lam)))
         else:
             pre, lam = memo[x]
-            dist = len(path) + pre
-            for i, s in enumerate(path):
+            dist = len(index) + pre
+            for s, i in index.items():
                 memo[s] = (dist - i, lam)
     return memo
 

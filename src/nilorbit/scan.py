@@ -58,7 +58,9 @@ class _TorusGrid(TorusGrid):
     def encode(self, nums):
         return nums
 
-    point_order = TorusGrid.order
+    def point_order(self, nums) -> int:
+        # every row comes from _exact_order_states, so gcd(m, *nums) = 1
+        return self.m
 
 
 class _NilCosets(NilCosets):

@@ -9,10 +9,9 @@ denominator never grows, so classification is exact cycle detection.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, prod
 
 from .errors import (
@@ -193,22 +192,45 @@ class _FractionMemo(dict):
         return value
 
 
+@lru_cache(maxsize=None)
+def _step_factory(n: int):
+    """make(m, a0_0, ..., a0_{n-1}, a1_0, ..., c0, ..., c_{n-1}) -> step.
+
+    The step is straight-line code for dimension n: one unpack of the state
+    and one affine row mod m per coordinate.  The source depends on n only;
+    the entries, the translation numerators and m are arguments, so one
+    compiled factory serves every map and grid of that dimension.
+    """
+    params = [f"a{i}_{j}" for i in range(n) for j in range(n)] + [f"c{i}" for i in range(n)]
+    unpack = "".join(f"x{j}, " for j in range(n))
+    rows = "".join(
+        "(" + " + ".join([*(f"a{i}_{j}*x{j}" for j in range(n)), f"c{i}"]) + ") % m, "
+        for i in range(n)
+    )
+    source = (
+        f"def make({', '.join(['m', *params])}):\n"
+        "    def step(state):\n"
+        f"        ({unpack}) = state\n"
+        f"        return ({rows})\n"
+        "    return step\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<nilorbit step n={n}>", "exec"), namespace)
+    return namespace["make"]
+
+
 class TorusGrid:
     """The map on numerators of the grid (1/m)Z^n: x -> (A x + m b) mod m.
 
-    m must be a multiple of the relative order of the translation.
+    m must be a multiple of the relative order of the translation.  The step
+    is a closure from _step_factory: the walk calls it once per state, and a
+    state of the wrong length raises ValueError.
     """
 
     def __init__(self, f: TorusEndo, m: int):
         self.m = m
-        rows = [(row, int(x * m) % m) for row, x in zip(f.linear, f.translation_fractions())]
-        mul = operator.mul
-
-        # a closure, not a method: the walk calls it once per state
-        def step(state):
-            return tuple([(sum(map(mul, row, state)) + c) % m for row, c in rows])
-
-        self.step = step
+        numerators = [int(x * m) % m for x in f.translation_fractions()]
+        self.step = _step_factory(f.dim)(m, *(a for row in f.linear for a in row), *numerators)
         self._fractions = _FractionMemo(m)
 
     def order(self, state) -> int:

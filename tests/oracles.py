@@ -2,15 +2,17 @@
 
 These deliberately avoid the library's code paths: determinants by textbook
 Gaussian elimination, lattice membership by greedy triangular reduction,
-totients by coprime counting, orbits by direct Fraction iteration, nil
-relative orders by stepping through multiples, nil orbits by Fraction
-BCH products, flat-manifold orbits by a Fraction min over holonomy images
-and report text by the standard library's JSON encoder.
+totients by coprime counting, orbits by direct Fraction iteration, grid
+steps row by row, cycle detection by list search, nil relative orders by
+stepping through multiples, nil orbits by Fraction BCH products,
+flat-manifold orbits by a Fraction min over holonomy images and report text
+by the standard library's JSON encoder.
 """
 
 import json
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from nilorbit.errors import SearchBoundExceededError
 from nilorbit.exactmath import denominator_lcm
@@ -81,6 +83,29 @@ def brute_orbit(A, b, q):
         moved = [sum(A[i][j] * x[j] for j in range(n)) + b[i] for i in range(n)]
         x = tuple(Fraction(v) % 1 for v in moved)
     mu = index[x]
+    return mu, len(path) - mu, path
+
+
+def reference_torus_step(A, b, m):
+    """The grid step x -> (A x + m b) mod m on numerator tuples, one row at a
+    time; m must be a multiple of the relative order of b."""
+    rows = [(row, int(x * m) % m) for row, x in zip(A, b)]
+
+    def step(state):
+        return tuple([(sum(map(mul, row, state)) + c) % m for row, c in rows])
+
+    return step
+
+
+def naive_orbit(step, start):
+    """(preperiod, period, path) of start, finding the first repeat by a
+    search of the path list: quadratic, and no hashing."""
+    path = []
+    x = start
+    while x not in path:
+        path.append(x)
+        x = step(x)
+    mu = path.index(x)
     return mu, len(path) - mu, path
 
 

@@ -59,12 +59,18 @@ def _klein_doc(F=((1, 0), (0, -1)), A=((3, 0), (0, 2))):
 
 
 # non-integral JSON numbers in integer matrices, which int() would truncate
+def _quad_d_doc(d):
+    """A pure translation by sqrt(d) in the first coordinate."""
+    return {"n": 2, "A": [[1, 0], [0, 1]], "b": [{"a": "0", "b": "1", "d": d}, "0"]}
+
+
 _FLOAT_ENTRY_DOCS = [
     {"n": 2, "A": [[2.5, 1], [1, 1]], "b": ["0", "0"]},
     {"n": 2, "A": [[2.5, 0], [0, 3]], "b": ["0", "0"], "L_basis": [[2, 0], [0, 1]]},
     {"n": 2, "A": [[2, 0], [0, 3]], "b": ["0", "0"], "L_basis": [[2.5, 0], [0, 1]]},
     _klein_doc(F=((1, 0), (0, -1.5))),
     _klein_doc(A=((3.5, 0), (0, 2))),
+    _quad_d_doc(2.5),
 ]
 
 _NIL_LIST_DOCS = [
@@ -98,6 +104,8 @@ def test_build_fixture_rejects_garbage():
         assert fx.lattice_rows == ((2, 0), (0, 1))
         fx = build_fixture(_klein_doc(A=((3, 0), (0, two))))
         assert fx.endo.linear == ((3, 0), (0, 2))
+        fx = build_fixture(_quad_d_doc(two))
+        assert fx.endo.translation[0].d == 2
 
 
 # --- classify command ------------------------------------------------------------
@@ -169,6 +177,11 @@ def test_cli_exit_code_bad_fixture(tmp_path):
         out = run_cli("classify", "--fixture", str(path), "--point", point)
         assert out.returncode == 2, (doc, out.stderr)
         assert "Traceback" not in out.stderr
+    # a quadratic d of 2.5 once loaded as sqrt(2), and density reported on it
+    path.write_text(json.dumps(_quad_d_doc(2.5)))
+    out = run_cli("density", "--fixture", str(path), "--m-max", "3")
+    assert out.returncode == 2, out.stderr
+    assert "expected an integer" in out.stderr
 
 
 def test_cli_exit_code_unsupported_input():

@@ -1,6 +1,7 @@
 """Property tests: the torus, nil and flat-manifold classifiers against
-direct Fraction oracles, and the report renderer against the standard
-library's encoder."""
+direct Fraction oracles, the grid step and the cycle detection against
+row-by-row and list-search oracles, and the report renderer against the
+standard library's encoder."""
 
 import json
 import random
@@ -29,14 +30,17 @@ from nilorbit.nilclass2 import (  # noqa: E402
     relative_order,
     subgroup_generated,
 )
+from nilorbit.orbits import iterate_orbit, sweep_orbits  # noqa: E402
 from nilorbit.scan import density_report, render_report, scan_report  # noqa: E402
-from nilorbit.torus import TorusEndo, TorusPoint, classify  # noqa: E402
+from nilorbit.torus import TorusEndo, TorusGrid, TorusPoint, _step_factory, classify  # noqa: E402
 from oracles import (  # noqa: E402
     brute_orbit,
     flat_reference_walk,
     json_report_text,
+    naive_orbit,
     nil_reference_walk,
     nil_relative_order_search,
+    reference_torus_step,
 )
 
 
@@ -76,6 +80,85 @@ def test_classify_matches_oracle(case):
         assert p == TorusPoint(p.coords)
         assert hash(p) == hash(TorusPoint(p.coords))
         assert all(type(x) is Fraction and 0 <= x < 1 for x in p.coords)
+
+
+@st.composite
+def grid_maps_and_states(draw):
+    """An integer map of dimension 1-6 with entries in [-9, 9], zero rows
+    included, a translation with denominator dividing m for m in 1-97, and
+    a few states of the grid."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    A = draw(st.lists(st.just([0] * n) | row, min_size=n, max_size=n))
+    m = draw(st.integers(1, 97))
+    den = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    b = draw(st.lists(st.integers(-2 * den, 2 * den).map(lambda a: Fraction(a, den)),
+                      min_size=n, max_size=n))
+    states = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * n), min_size=1, max_size=8))
+    return A, b, m, states
+
+
+@settings(max_examples=300)
+@given(grid_maps_and_states())
+def test_torus_grid_step_matches_reference(case):
+    A, b, m, states = case
+    step = TorusGrid(TorusEndo(A, b), m).step
+    reference = reference_torus_step(A, b, m)
+    for state in states:
+        assert step(state) == reference(state)
+        # the compiled step unpacks the state, so a wrong length is an error
+        with pytest.raises(ValueError):
+            step(state + (0,))
+        with pytest.raises(ValueError):
+            step(state[:-1])
+
+
+def test_step_factory_builds_once_per_dimension():
+    _step_factory.cache_clear()
+    for n in range(1, 7):
+        for m in (1, 12, 97):
+            for c in range(3):
+                A = [[(i + c * j) % 5 - 2 for j in range(n)] for i in range(n)]
+                TorusGrid(TorusEndo(A, [Fraction(c, 3)] * n), 3 * m).step(tuple(range(n)))
+    info = _step_factory.cache_info()
+    assert (info.misses, info.currsize) == (6, 6)
+
+
+@st.composite
+def functional_graphs(draw):
+    """A map on range(k) as a dict.  Walking a random order of the states,
+    most point to the next one (long tails and cycles), the rest to
+    themselves or anywhere (fixed points, branches, several components)."""
+    k = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(k)))
+    graph = {}
+    for i, v in enumerate(order):
+        kind = draw(st.sampled_from(["next", "next", "next", "fixed", "any"]))
+        if kind == "next" and i + 1 < k:
+            graph[v] = order[i + 1]
+        elif kind == "fixed":
+            graph[v] = v
+        else:
+            graph[v] = draw(st.integers(0, k - 1))
+    return graph
+
+
+@settings(max_examples=300)
+@given(functional_graphs(), st.data())
+def test_sweep_and_iterate_orbit_match_naive_walk(graph, data):
+    step = graph.__getitem__
+    starts = data.draw(st.lists(st.sampled_from(sorted(graph)), min_size=1))
+    memo = sweep_orbits(step, starts)
+    visited = set()
+    for start in starts:
+        mu, lam, path = naive_orbit(step, start)
+        assert iterate_orbit(step, start) == (mu, lam, path)
+        visited.update(path)
+    # every state the sweep walked through is classified too
+    assert set(memo) == visited
+    for state, (pre, per) in memo.items():
+        mu, lam, _ = naive_orbit(step, state)
+        assert (pre, per) == (mu, lam)
 
 
 def _nil_systems():
