@@ -689,6 +689,9 @@ class NilCosets:
             self.group, [Fraction(sum(map(operator.mul, col, y)), den) for col in columns]
         )
 
+    def transcript(self, path):
+        return tuple(map(self.order, path)), tuple(map(self.decode, path))
+
 
 def classify_nil(
     delta: NilEndo, N: LatticeSubgroup, g: MalcevElement

@@ -32,13 +32,12 @@ def iterate_orbit(step: Callable[[State], State], start: State):
 def classify_orbit(system, start):
     """Classify the orbit of the state `start` under a finite system.
 
-    `system.step(state)` is the map on states, `system.order(state)` the
-    relative order of the point a state stands for and `system.decode(state)`
-    that point.  Returns (Classification, OrbitResult).
+    `system.step(state)` is the map on states, and `system.transcript(path)`
+    returns the relative orders of the points the states of a path stand for
+    and those points, as two tuples.  Returns (Classification, OrbitResult).
     """
     mu, lam, path = iterate_orbit(system.step, start)
-    trace = tuple(map(system.order, path))
-    points = tuple(map(system.decode, path))
+    trace, points = system.transcript(path)
     return Classification(mu, lam, trace), OrbitResult(mu, lam, points[:mu], points[mu:])
 
 

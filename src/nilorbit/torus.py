@@ -9,10 +9,13 @@ denominator never grows, so classification is exact cycle detection.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat, starmap
 from math import gcd, prod
+from operator import floordiv
 
 from .errors import (
     ConsistencyError,
@@ -53,7 +56,7 @@ from .exactmath import (
 from .orbits import Classification, OrbitResult, classify_orbit
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorusPoint:
     """Canonical representative of a torus point: coordinates in [0, 1)."""
 
@@ -65,11 +68,13 @@ class TorusPoint:
         )
 
     @classmethod
-    def _canonical(cls, coords: tuple[Fraction, ...]) -> TorusPoint:
-        """A point from coordinates already in [0, 1), without re-normalising."""
-        point = object.__new__(cls)
-        object.__setattr__(point, "coords", coords)
-        return point
+    def _canonical_points(cls, coords) -> tuple[TorusPoint, ...]:
+        """Points from coordinate tuples already in [0, 1), without
+        re-normalising: bare instances, then one pass that sets coords."""
+        coords = tuple(coords)
+        points = tuple(map(object.__new__, repeat(cls, len(coords))))
+        deque(map(object.__setattr__, points, repeat("coords"), coords), maxlen=0)
+        return points
 
     @property
     def dim(self) -> int:
@@ -237,9 +242,13 @@ class TorusGrid:
         """Relative order of the grid point state/m."""
         return self.m // gcd(self.m, *state)
 
-    def decode(self, state) -> TorusPoint:
+    def transcript(self, path):
+        """(relative orders, points) of the states on a path, a column at a time."""
+        m = self.m
+        trace = tuple(map(floordiv, repeat(m), starmap(gcd, map((m,).__add__, path))))
         # numerators are reduced mod m, so every a/m is already in [0, 1)
-        return TorusPoint._canonical(tuple(map(self._fractions.__getitem__, state)))
+        columns = [tuple(map(self._fractions.__getitem__, column)) for column in zip(*path)]
+        return trace, TorusPoint._canonical_points(zip(*columns))
 
 
 def classify(f: TorusEndo, q) -> tuple[Classification, OrbitResult]:
@@ -458,17 +467,24 @@ def lattice_coordinates(rows, A, b):
     """The affine map x -> A x + b on R^n/L in lattice coordinates.
 
     L is spanned by the integer `rows`; returns (map on u, B^-1) for the
-    coordinate change x = B u with B = rows^T.  A must preserve L, so the
-    conjugated linear part is integral.
+    coordinate change x = B u with B = rows^T, with B^-1 a tuple of tuples.
+    A must preserve L, so the conjugated linear part is integral.  Both are
+    computed once per (rows, A, b) while they stay in a bounded cache.
     """
+    return _lattice_coordinates(freeze_matrix(rows), freeze_matrix(A), tuple(b))
+
+
+@lru_cache(maxsize=256)
+def _lattice_coordinates(rows, A, b):
     n = len(A)
     B = [[Fraction(rows[j][i]) for j in range(n)] for i in range(n)]
     Binv = invert_rational(B)
     A_up = mat_mul(mat_mul(Binv, [list(r) for r in A]), B)
     if not is_integer_matrix(A_up):
+        # lru_cache stores no exception, so every call raises again
         raise ConsistencyError("conjugated linear part is not integral", payload=A_up)
     b_up = mat_vec(Binv, list(b))
-    return TorusEndo([[int(x) for x in row] for row in A_up], b_up), Binv
+    return TorusEndo([[int(x) for x in row] for row in A_up], b_up), freeze_matrix(Binv)
 
 
 def cover_lattice(L_basis, A) -> list[list[int]]:

@@ -3,8 +3,9 @@
 These deliberately avoid the library's code paths: determinants by textbook
 Gaussian elimination, lattice membership by greedy triangular reduction,
 totients by coprime counting, orbits by direct Fraction iteration, grid
-steps row by row, cycle detection by list search, nil relative orders by
-stepping through multiples, nil orbits by Fraction BCH products,
+steps row by row, cycle detection by list search, orbit transcripts one
+state at a time, nil relative orders by stepping through multiples, nil
+orbits by Fraction BCH products,
 flat-manifold orbits by a Fraction min over holonomy images and report text
 by the standard library's JSON encoder.
 """
@@ -16,7 +17,8 @@ from operator import mul
 
 from nilorbit.errors import SearchBoundExceededError
 from nilorbit.exactmath import denominator_lcm
-from nilorbit.nilclass2 import apply_endo, bch_pow
+from nilorbit.nilclass2 import MalcevElement, apply_endo, bch_pow
+from nilorbit.torus import TorusPoint
 
 
 def gaussian_det(M):
@@ -95,6 +97,30 @@ def reference_torus_step(A, b, m):
         return tuple([(sum(map(mul, row, state)) + c) % m for row, c in rows])
 
     return step
+
+
+def torus_decode(m, state):
+    """The point state/m of the grid (1/m)Z^n, through the public constructor."""
+    return TorusPoint(tuple(Fraction(a, m) for a in state))
+
+
+def reference_transcript(m, path):
+    """(relative orders, points) of grid states, one state at a time."""
+    return (tuple(m // gcd(m, *state) for state in path),
+            tuple(torus_decode(m, state) for state in path))
+
+
+def nil_reference_transcript(N, dh, dc, path):
+    """(relative orders, points) of integer states (dh*y_h, dc*y_c) in the
+    lattice-basis coordinates y of N, one state at a time: the point is
+    X = B^T y and its order comes from nil_relative_order_search."""
+    k = len(N.horizontal_rows)
+    points = []
+    for state in path:
+        y = [Fraction(v, dh) for v in state[:k]] + [Fraction(v, dc) for v in state[k:]]
+        coords = [sum(v * row[j] for v, row in zip(y, N.basis)) for j in range(len(y))]
+        points.append(MalcevElement(N.group, coords))
+    return tuple(nil_relative_order_search(N, g) for g in points), tuple(points)
 
 
 def naive_orbit(step, start):

@@ -1,8 +1,9 @@
 """Property tests: the torus, nil and flat-manifold classifiers against
-direct Fraction oracles, the grid step and the cycle detection against
-row-by-row and list-search oracles, and the report renderer against the
-standard library's encoder."""
+direct Fraction oracles, the grid step, the cycle detection and the orbit
+transcripts against row-by-row, list-search and one-state-at-a-time
+oracles, and the report renderer against the standard library's encoder."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -25,6 +26,8 @@ from nilorbit.infraflat import classify_infra, validate_bieberbach, validate_end
 from nilorbit.nilclass2 import (  # noqa: E402
     Class2Group,
     MalcevElement,
+    NilCosets,
+    _scaled_coords,
     classify_nil,
     make_endo,
     relative_order,
@@ -38,9 +41,11 @@ from oracles import (  # noqa: E402
     flat_reference_walk,
     json_report_text,
     naive_orbit,
+    nil_reference_transcript,
     nil_reference_walk,
     nil_relative_order_search,
     reference_torus_step,
+    reference_transcript,
 )
 
 
@@ -111,6 +116,59 @@ def test_torus_grid_step_matches_reference(case):
             step(state + (0,))
         with pytest.raises(ValueError):
             step(state[:-1])
+
+
+class _LongOrbit(Exception):
+    pass
+
+
+def _orbit_path(step, start, budget=4000):
+    """The path iterate_orbit walks from start, or None past `budget` steps."""
+    count = itertools.count()
+
+    def bounded(state):
+        if next(count) == budget:
+            raise _LongOrbit
+        return step(state)
+
+    try:
+        return iterate_orbit(bounded, start)[2]
+    except _LongOrbit:
+        return None
+
+
+@settings(max_examples=300)
+@given(grid_maps_and_states())
+def test_torus_transcript_matches_reference(case):
+    A, b, m, states = case
+    grid = TorusGrid(TorusEndo(A, b), m)
+    paths = [states]
+    orbit = _orbit_path(grid.step, states[0])
+    if orbit is not None:
+        paths.append(orbit)
+    for path in paths:
+        trace, points = grid.transcript(path)
+        ref_trace, ref_points = reference_transcript(m, path)
+        assert trace == ref_trace
+        assert points == ref_points
+        assert list(map(hash, points)) == list(map(hash, ref_points))
+        assert all(type(x) is Fraction for p in points for x in p.coords)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_nil_transcript_matches_reference(data):
+    # heisenberg and the central rank 2 group
+    N, maps = data.draw(st.sampled_from(NIL_SYSTEMS[:2]))
+    delta = maps[data.draw(st.sampled_from(sorted(maps)))]
+    coords = data.draw(st.lists(rationals(6), min_size=N.group.dim, max_size=N.group.dim))
+    dh, dc, yh, yc = _scaled_coords(N, MalcevElement(N.group, coords))
+    system = NilCosets(delta, N, dh, dc)
+    k = len(N.horizontal_rows)
+    state = st.tuples(*[st.integers(0, dh - 1)] * k, *[st.integers(0, dc - 1)] * (N.group.dim - k))
+    arbitrary = data.draw(st.lists(state, min_size=1, max_size=4))
+    for path in (iterate_orbit(system.step, system.canonical(yh, yc))[2], arbitrary):
+        assert system.transcript(path) == nil_reference_transcript(N, dh, dc, path)
 
 
 def test_step_factory_builds_once_per_dimension():

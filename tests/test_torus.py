@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from nilorbit.errors import LatticeError, UnsupportedInputError
+from nilorbit.errors import ConsistencyError, LatticeError, UnsupportedInputError
 from nilorbit.exactmath import (
     QuadExt,
     coset_representatives,
@@ -28,6 +28,7 @@ from nilorbit.torus import (
     eventually_periodic_set,
     fixed_point,
     has_periodic_point,
+    lattice_coordinates,
     order_coprime_to_det,
     periodic_point_of_period,
     relative_order,
@@ -428,6 +429,30 @@ def test_cover_transfer_injectivity_matches_enumeration():
         f = TorusEndo(A)
         assert cover_transfer(L, f, f, [F(0)] * n).induced_map_injective == expected, (A, L)
         checked += 1
+
+
+def test_lattice_coordinates_cached_and_immutable():
+    f = TorusEndo([[2, 1], [1, 1]], [F(1, 2), F(1, 3)])
+    rows = [[2, 0], [0, 2]]
+    f_up, Binv = lattice_coordinates(rows, f.linear, f.translation_fractions())
+    assert Binv == ((F(1, 2), F(0)), (F(0), F(1, 2)))
+    assert f_up.linear == f.linear and f_up.translation == (F(1, 4), F(1, 6))
+    # equal arguments in another container type hit the same cache entry
+    again = lattice_coordinates(tuple(map(tuple, rows)), [list(r) for r in f.linear],
+                                list(f.translation_fractions()))
+    assert again[0] is f_up and again[1] is Binv
+    # the swap preserves the lattice of (x, y) with x = y mod 2
+    swap_up, Binv = lattice_coordinates([[1, 1], [0, 2]], [[0, 1], [1, 0]], [F(1, 2), F(0)])
+    assert Binv == ((F(1), F(0)), (F(-1, 2), F(1, 2)))
+    assert swap_up.linear == ((1, 2), (0, -1)) and swap_up.translation == (F(1, 2), F(-1, 4))
+
+
+def test_lattice_coordinates_raises_on_every_call():
+    # the swap does not preserve 2Z x Z, so its conjugate is not integral;
+    # a cached failure would let the second call through
+    for _ in range(3):
+        with pytest.raises(ConsistencyError, match="not integral"):
+            lattice_coordinates([[2, 0], [0, 1]], [[0, 1], [1, 0]], [F(0), F(0)])
 
 
 # --- strictly preperiodic witnesses ----------------------------------------------------
