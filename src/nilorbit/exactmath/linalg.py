@@ -9,6 +9,7 @@ matrices and vectors over a quadratic field.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .scalars import as_fraction
 
@@ -111,7 +112,7 @@ def geometric_sum(A, k: int):
 
 
 def det(M):
-    """Exact determinant; Bareiss over the integers, Gaussian over Q otherwise."""
+    """Exact determinant; Bareiss over the integers, Gauss-Jordan over Q otherwise."""
     n, n2 = mat_shape(M)
     if n != n2:
         raise ValueError("determinant needs a square matrix")
@@ -119,7 +120,8 @@ def det(M):
         return 1
     if all(isinstance(x, int) for row in M for x in row):
         return _det_bareiss([list(r) for r in M])
-    return _det_gauss([[as_fraction(x) for x in r] for r in M])
+    _, pivots, sign = _gauss_jordan(M)
+    return sign * prod(p for _, p in pivots) if len(pivots) == n else Fraction(0)
 
 
 def _det_bareiss(a) -> int:
@@ -142,27 +144,39 @@ def _det_bareiss(a) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _det_gauss(a) -> Fraction:
-    n = len(a)
-    out = Fraction(1)
-    for k in range(n):
-        pivot = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                pivot = i
-                break
+def _gauss_jordan(rows):
+    """Gauss-Jordan elimination over Q on a copy of the rows.
+
+    Returns (a, pivots, sign): a is the reduced row echelon form, whose
+    first len(pivots) rows are the nonzero ones; pivots lists (column,
+    value before scaling) for each of them; sign is (-1)^(row swaps).
+    """
+    a = [[as_fraction(x) for x in row] for row in rows]
+    m = len(a)
+    pivots = []
+    sign = 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, m) if a[i][c] != 0), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            out = -out
-        out *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return out
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        pivots.append((c, a[r][c]))
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+    return a, pivots, sign
+
+
+def rref(rows) -> list[list[Fraction]]:
+    """Reduced row echelon form over Q; returns the nonzero rows."""
+    a, pivots, _ = _gauss_jordan(rows)
+    return a[: len(pivots)]
 
 
 def charpoly(M) -> list[Fraction]:
@@ -187,25 +201,13 @@ def charpoly(M) -> list[Fraction]:
 
 
 def invert_rational(A):
-    """Exact inverse of a square rational matrix, or None if singular."""
+    """Exact inverse of a square rational matrix, or None if singular: the
+    right half of the RREF of [A | I] when its pivots sit on A's diagonal."""
     n, n2 = mat_shape(A)
     if n != n2:
         raise ValueError("inverse needs a square matrix")
-    aug = [[as_fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(A)]
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if aug[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    a, pivots, _ = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(A)])
+    if [c for c, _ in pivots] != list(range(n)):
+        return None
+    return [row[n:] for row in a]

@@ -8,10 +8,9 @@ downstream classification transcripts are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .linalg import mat_identity, mat_shape, mat_vec
-from .scalars import is_integral, quad_parts
+from .scalars import denominator_lcm, is_integral, quad_parts
 from ..errors import LatticeError
 
 
@@ -266,11 +265,7 @@ def rational_row_hnf(rows) -> tuple[list[list[Fraction]], list[list[int]]]:
     """
     if not rows:
         return [], []
-    D = 1
-    for row in rows:
-        for x in row:
-            f = Fraction(x)
-            D = D * f.denominator // gcd(D, f.denominator)
+    D = denominator_lcm(x for row in rows for x in row)
     scaled = [[int(Fraction(x) * D) for x in row] for row in rows]
     H, U = hnf(scaled)
     basis, combos = [], []

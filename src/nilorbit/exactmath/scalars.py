@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Union
 
 from ..errors import MixedFieldError
@@ -221,21 +221,7 @@ def parse_scalar(text) -> Scalar:
 
 def denominator_lcm(values) -> int:
     """lcm of the denominators of a sequence of rationals."""
-    out = 1
-    for v in values:
-        den = as_fraction(v).denominator
-        out = out * den // gcd(out, den)
-    return out
-
-
-def lcm(*values: int) -> int:
-    out = 1
-    for v in values:
-        v = abs(int(v))
-        if v == 0:
-            continue
-        out = out * v // gcd(out, v)
-    return out
+    return lcm(*(as_fraction(v).denominator for v in values))
 
 
 def prime_support(n: int) -> frozenset[int]:

@@ -12,36 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import root_of_unity_orders
-from .linalg import mat_identity, mat_pow, mat_shape, mat_sub, mat_transpose
+from .linalg import mat_identity, mat_pow, mat_shape, mat_sub, mat_transpose, rref
 from .scalars import as_fraction
-
-
-def rref(rows) -> list[list[Fraction]]:
-    """Reduced row echelon form over Q; returns the nonzero rows."""
-    a = [[as_fraction(x) for x in row] for row in rows]
-    if not a:
-        return []
-    m, n = len(a), len(a[0])
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, m):
-            if a[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return [row for row in a[:r]]
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,14 @@ def _parse_int_matrix(rows):
     return [[parse_integer(x) for x in row] for row in rows]
 
 
+def _torus_endo(doc: dict) -> TorusEndo:
+    """The map of a torus or cover fixture, whose "n" must be its dimension."""
+    endo = TorusEndo(_parse_int_matrix(doc["A"]), _parse_vector(doc["b"]))
+    if parse_integer(doc["n"]) != endo.dim:
+        raise InvalidFixtureError(f"fixture has n = {doc['n']}, but A has {endo.dim} rows")
+    return endo
+
+
 def load_fixture(path):
     path = Path(path)
     try:
@@ -140,13 +148,15 @@ def build_fixture(doc: dict, default_name: str = "inline"):
     description = doc.get("description", "")
     try:
         if kind == "torus":
-            endo = TorusEndo(_parse_int_matrix(doc["A"]), _parse_vector(doc["b"]))
+            endo = _torus_endo(doc)
             points = tuple(
                 tuple(Fraction(str(x)) for x in pt) for pt in doc.get("points", [])
             )
+            if any(len(pt) != endo.dim for pt in points):
+                raise InvalidFixtureError(f"a listed point's length is not n = {endo.dim}")
             return TorusFixture(name, description, endo, points, doc.get("expect", {}))
         if kind == "cover":
-            endo = TorusEndo(_parse_int_matrix(doc["A"]), _parse_vector(doc["b"]))
+            endo = _torus_endo(doc)
             rows = tuple(map(tuple, _parse_int_matrix(doc["L_basis"])))
             cover_lattice(rows, endo.linear)
             return CoverFixture(name, description, endo, rows)

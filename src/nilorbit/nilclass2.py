@@ -25,7 +25,6 @@ from .exactmath import (
     freeze_matrix,
     invert_rational,
     is_integer_matrix,
-    lcm,
     mat_mul,
     mat_shape,
     mat_sub,
@@ -345,24 +344,30 @@ def _integral(M):
     return tuple(tuple(int(x * d) for x in row) for row in M), d
 
 
-def _scaled_coords(N: LatticeSubgroup, g: MalcevElement):
-    """(dh, dc, dh*y_h, dc*y_c) for the lattice-basis coordinates y of g,
-    with dh = den(y_h) and dc = lcm(den(y_c), 2*dh^2)."""
-    y = N.coords_in_basis(g.coords)
+def _grid_coords(N: LatticeSubgroup, s: int, nums):
+    """(dh, dh*y_h, 2*dh^2*y_c) for the lattice-basis coordinates y = P X / d
+    of X = nums/s, with N.integral_inverse = (P, d) and dh = d*s."""
+    P, d = N.integral_inverse
+    dh = d * s
     k = len(N.horizontal_rows)
-    dh = denominator_lcm(y[:k])
-    dc = lcm(denominator_lcm(y[k:]), 2 * dh * dh)
-    return dh, dc, [int(v * dh) for v in y[:k]], [int(v * dc) for v in y[k:]]
+    y = [sum(map(operator.mul, row, nums)) for row in P]
+    return dh, y[:k], [2 * dh * v for v in y[k:]]
 
 
-def _scaled_order(yh, yc, dh: int, dc: int, constants) -> int:
-    """relative_order from integer coordinates (dh*y_h, dc*y_c), dc even."""
+def _scaled_order(dh: int, yh, yc, constants) -> int:
+    """relative_order from integer coordinates (dh*y_h, 2*dh^2*y_c)."""
+    sq = dh * dh
     e = dh // gcd(dh, *yh)
     n = [e * v // dh for v in yh]
     w = [e * v for v in yc]
     for i, j, l, x in constants:
-        w[l] -= (dc // 2) * x * n[i] * n[j]
-    return e * (dc // gcd(dc, *w))
+        w[l] -= sq * x * n[i] * n[j]
+    return e * (2 * sq // gcd(2 * sq, *w))
+
+
+def grid_order(N: LatticeSubgroup, s: int, nums) -> int:
+    """Relative order of the point exp(nums/s) for an integer vector nums."""
+    return _scaled_order(*_grid_coords(N, s, nums), N.structure_constants)
 
 
 def relative_order(N: LatticeSubgroup, g: MalcevElement) -> int:
@@ -373,11 +378,12 @@ def relative_order(N: LatticeSubgroup, g: MalcevElement) -> int:
     is a multiple of the abelianization order e = den(y_h).  h = g^e has
     integral horizontal exponents n, and h^t has central exponents
     t*c - t(t-1)/2 * Q(n) with Q(n) integral, so h^t is in N iff den(c) | t.
-    The order is e*den(c); it divides dc = lcm(den(y_c), 2*den(y_h)^2),
-    which divides 2*s0^2 for s0 the lcm of all coordinate denominators.
+    The order is e*den(c).  If g's exponential coordinates lie in (1/m)Z
+    and N.integral_inverse = (P, d), y lies in (1/(d*m))Z, so the order
+    divides 2*(d*m)^2.
     """
-    dh, dc, yh, yc = _scaled_coords(N, g)
-    return _scaled_order(yh, yc, dh, dc, N.structure_constants)
+    s = denominator_lcm(g.coords)
+    return grid_order(N, s, [int(x * s) for x in g.coords])
 
 
 def subgroup_generated(gens) -> LatticeSubgroup:
@@ -626,27 +632,29 @@ def _map_blocks(delta: NilEndo, N: LatticeSubgroup):
 class NilCosets:
     """The endomorphism on cosets N g, in lattice-basis coordinates y.
 
-    A state is the y of a coset's canonical representative (normal form
-    exponents a and c in [0, 1)), scaled to integers as (dh*y_h, dc*y_c) by
-    denominators fixed for the system; dc must be a multiple of 2*dh^2 and
-    of the central denominators of every start.  In these coordinates the
-    map has integral horizontal and central blocks, a zero central ->
-    horizontal block and a half-integral horizontal -> central block
-    (checked once per system, ConsistencyError otherwise), so the orbit
-    never needs larger denominators.  `step`, `canonical` and `order` use integers only;
-    `decode` builds Fractions for the transcript.
+    The starts' exponential coordinates lie in (1/s)Z, so for
+    N.integral_inverse = (P, d) every y lies in (1/dh)Z with dh = d*s.  A
+    state is the y of a coset's canonical representative (normal form
+    exponents a and c in [0, 1)), scaled to integers as (dh*y_h, dc*y_c)
+    with dc = 2*dh^2.  In these coordinates the map has integral horizontal
+    and central blocks, a zero central -> horizontal block and a
+    half-integral horizontal -> central block (checked once per system,
+    ConsistencyError otherwise), so the orbit never needs larger
+    denominators.  `encode`, `step`, `canonical` and `order` use integers
+    only; `decode` builds Fractions for the transcript.
     """
 
-    def __init__(self, delta: NilEndo, N: LatticeSubgroup, dh: int, dc: int):
+    def __init__(self, delta: NilEndo, N: LatticeSubgroup, s: int):
         self.lattice = N
         self.group = N.group
-        self.dh, self.dc = dh, dc
-        self._k = k = len(N.horizontal_rows)
+        self.s = s
+        self.dh = dh = N.integral_inverse[1] * s
+        self.dc = dc = 2 * dh * dh
+        self._k = len(N.horizontal_rows)
         hh, ch2, cc = _map_blocks(delta, N)
-        crows = [tuple(x * (dc // (2 * dh)) for x in w) + c for w, c in zip(ch2, cc)]
+        crows = [tuple(x * dh for x in w) + c for w, c in zip(ch2, cc)]
         constants = N.structure_constants
-        wide = dc // dh
-        half = dc // (2 * dh * dh)
+        wide = 2 * dh
         mul = operator.mul
 
         # closures, not methods: the walk calls them once per state
@@ -660,9 +668,9 @@ class NilCosets:
             c = list(yc)
             qa = [0] * len(c)
             for i, j, l, x in constants:
-                c[l] += x * (wide * a[i] * floors[j] - half * yh[i] * yh[j])
+                c[l] += x * (wide * a[i] * floors[j] - yh[i] * yh[j])
                 qa[l] += x * a[i] * a[j]
-            return (*a, *[v % dc + half * w for v, w in zip(c, qa)])
+            return (*a, *[v % dc + w for v, w in zip(c, qa)])
 
         def step(state):
             return canonical(
@@ -674,12 +682,14 @@ class NilCosets:
         self.step = step
         self._wide = wide
 
-    def order_of(self, yh, yc) -> int:
-        """Relative order of the element with coordinates (dh*y_h, dc*y_c)."""
-        return _scaled_order(yh, yc, self.dh, self.dc, self.lattice.structure_constants)
+    def encode(self, nums):
+        """The state of the coset of the point exp(nums/s)."""
+        _, yh, yc = _grid_coords(self.lattice, self.s, nums)
+        return self.canonical(yh, yc)
 
     def order(self, state) -> int:
-        return self.order_of(state[: self._k], state[self._k:])
+        k = self._k
+        return _scaled_order(self.dh, state[:k], state[k:], self.lattice.structure_constants)
 
     def decode(self, state) -> MalcevElement:
         columns, d = self.lattice._integral_columns
@@ -698,14 +708,14 @@ def classify_nil(
 ) -> tuple[Classification, OrbitResult]:
     """Exact (preperiod, period) of the coset N g under the endomorphism.
 
-    The orbit runs on integer states over the denominators (dh, dc) of g's
-    lattice-basis coordinates (see NilCosets), so it stays inside a finite
-    set of canonical coset representatives and hash-based cycle detection
+    The orbit runs on integer states over the grid of g's exponential
+    coordinates (see NilCosets), so it stays inside a finite set of
+    canonical coset representatives and hash-based cycle detection
     terminates.  The transcript lists those representatives.
     """
-    dh, dc, yh, yc = _scaled_coords(N, g)
-    system = NilCosets(delta, N, dh, dc)
-    return classify_orbit(system, system.canonical(yh, yc))
+    s = denominator_lcm(g.coords)
+    system = NilCosets(delta, N, s)
+    return classify_orbit(system, system.encode([int(x * s) for x in g.coords]))
 
 
 def order_coprime_to_det(delta: NilEndo, N: LatticeSubgroup, g: MalcevElement) -> bool:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -19,7 +18,7 @@ from math import gcd
 from .errors import UnsupportedInputError
 from .exactmath import prime_support
 from .fixtures import NilFixture, TorusFixture
-from .nilclass2 import NilCosets
+from .nilclass2 import NilCosets, grid_order
 from .orbits import Classification, sweep_orbits
 from .torus import TorusGrid, TranslationVerdict, translation_periodicity
 
@@ -64,21 +63,12 @@ class _TorusGrid(TorusGrid):
 
 
 class _NilCosets(NilCosets):
-    """Nil maps on cosets of the points a/m in exponential coordinates.
-
-    The lattice-basis coordinates of a/m are P a / (d m) for the integer
-    inverse basis P / d, so the grid fixes dh = d m and dc = 2 dh^2.
-    """
+    """Nil maps on cosets of the points a/m in exponential coordinates."""
 
     checks_constant_order = False
 
     def __init__(self, fixture: NilFixture, endo_name: str, m: int):
-        N = fixture.lattice
-        rows, d = N.integral_inverse
-        dh = d * m
-        super().__init__(fixture.endos[endo_name], N, dh, 2 * dh * dh)
-        k = len(N.horizontal_rows)
-        self._rows = rows[:k], [tuple(2 * dh * x for x in row) for row in rows[k:]]
+        super().__init__(fixture.endos[endo_name], fixture.lattice, m)
         self.dim = fixture.group.dim
 
     @staticmethod
@@ -88,16 +78,9 @@ class _NilCosets(NilCosets):
         # |det| is the index of the image lattice, so it is an integer
         return f"{fixture.name}:{endo_name}", map_desc, int(abs(endo.determinant)), {}
 
-    def _scaled(self, nums):
-        """(dh*y_h, dc*y_c) for the grid point a/m."""
-        return tuple([sum(map(operator.mul, row, nums)) for row in rows] for rows in self._rows)
-
-    def encode(self, nums):
-        return self.canonical(*self._scaled(nums))
-
     def point_order(self, nums) -> int:
         # the grid point itself: its coset representative can have another order
-        return self.order_of(*self._scaled(nums))
+        return grid_order(self.lattice, self.s, nums)
 
 
 def _check_bound(command: str, bound: int):

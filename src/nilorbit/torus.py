@@ -160,18 +160,7 @@ def relative_order(q) -> int:
     for x in q:
         if not scalar_is_rational(x):
             raise UnsupportedInputError("relative order is defined for rational points")
-    return denominator_lcm(as_fraction(x) for x in q)
-
-
-def _require_rational_point(q):
-    coords = []
-    for x in q:
-        if not scalar_is_rational(x):
-            raise UnsupportedInputError(
-                "mixed irrational point: orbit tracking is exact over Q only"
-            )
-        coords.append(as_fraction(x))
-    return coords
+    return denominator_lcm(q)
 
 
 def step(f: TorusEndo, x: TorusPoint) -> TorusPoint:
@@ -265,9 +254,8 @@ def classify(f: TorusEndo, q) -> tuple[Classification, OrbitResult]:
         )
     if len(q) != f.dim:
         raise ValueError(f"point has length {len(q)}, map has dimension {f.dim}")
-    qs = [x % 1 for x in _require_rational_point(q)]
-    m = lcm(relative_order(qs), f.translation_order)
-    return classify_orbit(TorusGrid(f, m), tuple(int(x * m) % m for x in qs))
+    m = lcm(relative_order(q), f.translation_order)
+    return classify_orbit(TorusGrid(f, m), tuple(int(as_fraction(x) * m) % m for x in q))
 
 
 def fixed_point(f: TorusEndo):

@@ -110,10 +110,12 @@ def reference_transcript(m, path):
             tuple(torus_decode(m, state) for state in path))
 
 
-def nil_reference_transcript(N, dh, dc, path):
+def nil_reference_transcript(system, path):
     """(relative orders, points) of integer states (dh*y_h, dc*y_c) in the
-    lattice-basis coordinates y of N, one state at a time: the point is
+    lattice-basis coordinates y of N, for the lattice N and the scales dh
+    and dc of a NilCosets system, one state at a time: the point is
     X = B^T y and its order comes from nil_relative_order_search."""
+    N, dh, dc = system.lattice, system.dh, system.dc
     k = len(N.horizontal_rows)
     points = []
     for state in path:

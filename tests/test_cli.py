@@ -184,6 +184,25 @@ def test_cli_exit_code_bad_fixture(tmp_path):
     assert "expected an integer" in out.stderr
 
 
+def test_cli_rejects_fixture_of_another_dimension(tmp_path, capsys):
+    # "n" must be the number of rows of A, and every listed point that long
+    docs = [
+        {"n": 3, "A": [[2, 1], [1, 1]], "b": ["0", "0"]},
+        {"n": 5, "A": [[2, 0], [0, 3]], "b": ["0", "0"], "L_basis": [[2, 0], [0, 3]]},
+        {"n": 2, "A": [[2, 1], [1, 1]], "b": ["0", "0"], "points": [["1/3", "1/3", "1/3"]]},
+    ]
+    path = tmp_path / "dimension.json"
+    for doc in docs:
+        path.write_text(json.dumps(doc))
+        for argv in (
+            ["classify", "--fixture", str(path), "--point", "0,0"],
+            ["scan", "--fixture", str(path), "--max-den", "2"],
+        ):
+            assert main(argv) == 2, (doc, argv)
+            err = capsys.readouterr().err
+            assert err.startswith("bad fixture:") and "Traceback" not in err, err
+
+
 def test_cli_exit_code_unsupported_input():
     out = run_cli(
         "classify",

@@ -493,7 +493,7 @@ def test_nil_cosets_checks_map_blocks(matrix, block):
     # maps that do not send N into itself fail one of the block identities
     rows = tuple(tuple(F(x) for x in row) for row in matrix)
     with pytest.raises(ConsistencyError, match=block):
-        NilCosets(NilEndo(G, rows, F(1)), N, 1, 2)
+        NilCosets(NilEndo(G, rows, F(1)), N, 1)
 
 
 def test_nil_reports_pinned():

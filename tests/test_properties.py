@@ -15,6 +15,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nilorbit.errors import InvalidFixtureError  # noqa: E402
+from nilorbit.exactmath import (  # noqa: E402
+    denominator_lcm,
+    det,
+    invert_rational,
+    mat_identity,
+    mat_mul,
+    rref,
+)
 from nilorbit.fixtures import (  # noqa: E402
     TorusFixture,
     build_fixture,
@@ -27,8 +35,8 @@ from nilorbit.nilclass2 import (  # noqa: E402
     Class2Group,
     MalcevElement,
     NilCosets,
-    _scaled_coords,
     classify_nil,
+    grid_order,
     make_endo,
     relative_order,
     subgroup_generated,
@@ -39,6 +47,7 @@ from nilorbit.torus import TorusEndo, TorusGrid, TorusPoint, _step_factory, clas
 from oracles import (  # noqa: E402
     brute_orbit,
     flat_reference_walk,
+    gaussian_det,
     json_report_text,
     naive_orbit,
     nil_reference_transcript,
@@ -162,13 +171,31 @@ def test_nil_transcript_matches_reference(data):
     N, maps = data.draw(st.sampled_from(NIL_SYSTEMS[:2]))
     delta = maps[data.draw(st.sampled_from(sorted(maps)))]
     coords = data.draw(st.lists(rationals(6), min_size=N.group.dim, max_size=N.group.dim))
-    dh, dc, yh, yc = _scaled_coords(N, MalcevElement(N.group, coords))
-    system = NilCosets(delta, N, dh, dc)
+    s = denominator_lcm(coords)
+    system = NilCosets(delta, N, s)
+    dh, dc = system.dh, system.dc
     k = len(N.horizontal_rows)
     state = st.tuples(*[st.integers(0, dh - 1)] * k, *[st.integers(0, dc - 1)] * (N.group.dim - k))
     arbitrary = data.draw(st.lists(state, min_size=1, max_size=4))
-    for path in (iterate_orbit(system.step, system.canonical(yh, yc))[2], arbitrary):
-        assert system.transcript(path) == nil_reference_transcript(N, dh, dc, path)
+    start = system.encode([int(x * s) for x in coords])
+    for path in (iterate_orbit(system.step, start)[2], arbitrary):
+        assert system.transcript(path) == nil_reference_transcript(system, path)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_nil_grid_encoder_matches_reference(data):
+    # every nil system: the integer encoder and grid order of a point
+    # exp(nums/s) against canonical_rep and the certified order search
+    N, maps = data.draw(st.sampled_from(NIL_SYSTEMS))
+    delta = maps[data.draw(st.sampled_from(sorted(maps)))]
+    s = data.draw(st.integers(1, 12))
+    dim = N.group.dim
+    nums = data.draw(st.lists(st.integers(-2 * s, 2 * s), min_size=dim, max_size=dim))
+    g = MalcevElement(N.group, [Fraction(v, s) for v in nums])
+    system = NilCosets(delta, N, s)
+    assert system.decode(system.encode(nums)) == N.canonical_rep(g)
+    assert grid_order(N, s, nums) == nil_relative_order_search(N, g)
 
 
 def test_step_factory_builds_once_per_dimension():
@@ -180,6 +207,35 @@ def test_step_factory_builds_once_per_dimension():
                 TorusGrid(TorusEndo(A, [Fraction(c, 3)] * n), 3 * m).step(tuple(range(n)))
     info = _step_factory.cache_info()
     assert (info.misses, info.currsize) == (6, 6)
+
+
+@st.composite
+def rational_square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        # a rational combination of the other rows makes the matrix singular
+        i = draw(st.integers(0, n - 1))
+        coeffs = [draw(entry) for _ in range(n)]
+        rows[i] = [
+            sum(c * row[j] for k, (c, row) in enumerate(zip(coeffs, rows)) if k != i)
+            for j in range(n)
+        ]
+    return rows
+
+
+@settings(max_examples=300)
+@given(rational_square_matrices())
+def test_gauss_jordan_matches_oracle(A):
+    # det, invert_rational and rref share one elimination
+    D = det(A)
+    assert D == gaussian_det(A)
+    inverse = invert_rational(A)
+    assert (inverse is None) == (D == 0)
+    if inverse is not None:
+        assert mat_mul(A, inverse) == mat_identity(len(A))
+    assert (len(rref(A)) == len(A)) == (D != 0)
 
 
 @st.composite
