@@ -1,15 +1,18 @@
 """Dense exact matrix/vector helpers over int, Fraction and QuadExt entries.
 
 Matrices are plain sequences of row sequences; every function returns fresh
-lists and never mutates its arguments.  Entry types only need +, -, * (and /
-for the rational solvers), so the same code serves integer lattices, rational
-matrices and vectors over a quadratic field.
+lists and never mutates its arguments.  The arithmetic helpers only need +,
+- and *, so they serve integer lattices, rational matrices and vectors over a
+quadratic field alike.  Elimination (det, rref, invert_rational, kernels)
+needs rational entries, which one fraction-free integer pass handles; a
+Q(sqrt(d)) vector is split into rational and sqrt-parts first
+(split_quad_vector).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm
 
 from .scalars import as_fraction
 
@@ -111,72 +114,60 @@ def geometric_sum(A, k: int):
     return out
 
 
-def det(M):
-    """Exact determinant; Bareiss over the integers, Gauss-Jordan over Q otherwise."""
-    n, n2 = mat_shape(M)
-    if n != n2:
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    if all(isinstance(x, int) for row in M for x in row):
-        return _det_bareiss([list(r) for r in M])
-    _, pivots, sign = _gauss_jordan(M)
-    return sign * prod(p for _, p in pivots) if len(pivots) == n else Fraction(0)
+def integral_rows(M) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(integer rows, d) with M = rows / d for the least d; ints stay ints."""
+    M = [[x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in row] for row in M]
+    d = lcm(*(x.denominator for row in M for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in M), d
 
 
-def _det_bareiss(a) -> int:
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination (E. H. Bareiss, Math. Comp. 22
+    (1968); H. Cohen, GTM 138, 2.2) of the rows scaled to integers by the
+    lcm d of their denominators; each division by the previous pivot is exact.
 
-
-def _gauss_jordan(rows):
-    """Gauss-Jordan elimination over Q on a copy of the rows.
-
-    Returns (a, pivots, sign): a is the reduced row echelon form, whose
-    first len(pivots) rows are the nonzero ones; pivots lists (column,
-    value before scaling) for each of them; sign is (-1)^(row swaps).
+    Returns (a, cols, p, sign, d): the first len(cols) rows of a are nonzero,
+    with pivot columns cols, and every pivot entry equals the last pivot p,
+    so a/p is the RREF; sign is (-1)^(row swaps), and sign*p is det(d*M)
+    for a square M of full rank.
     """
-    a = [[as_fraction(x) for x in row] for row in rows]
+    scaled, d = integral_rows(rows)
+    a = [list(r) for r in scaled]
     m = len(a)
-    pivots = []
-    sign = 1
+    cols = []
+    sign = p = 1
     for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        pivot = next((i for i in range(r, m) if a[i][c] != 0), None)
+        r = len(cols)
+        pivot = next((i for i in range(r, m) if a[i][c]), None)
         if pivot is None:
             continue
         if pivot != r:
             a[r], a[pivot] = a[pivot], a[r]
             sign = -sign
-        pivots.append((c, a[r][c]))
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        prev, p = p, a[r][c]
+        row = a[r]
         for i in range(m):
-            if i != r and a[i][c] != 0:
+            if i != r:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-    return a, pivots, sign
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+        cols.append(c)
+    return a, cols, p, sign, d
+
+
+def det(M):
+    """Exact determinant: an int for an all-int matrix, a Fraction otherwise."""
+    n, n2 = mat_shape(M)
+    if n != n2:
+        raise ValueError("determinant needs a square matrix")
+    _, cols, p, sign, d = _eliminate(M)
+    value = sign * p if len(cols) == n else 0
+    return value if all(isinstance(x, int) for row in M for x in row) else Fraction(value, d**n)
 
 
 def rref(rows) -> list[list[Fraction]]:
     """Reduced row echelon form over Q; returns the nonzero rows."""
-    a, pivots, _ = _gauss_jordan(rows)
-    return a[: len(pivots)]
+    a, cols, p, _, _ = _eliminate(rows)
+    return [[Fraction(x, p) for x in row] for row in a[: len(cols)]]
 
 
 def charpoly(M) -> list[Fraction]:
@@ -206,8 +197,8 @@ def invert_rational(A):
     n, n2 = mat_shape(A)
     if n != n2:
         raise ValueError("inverse needs a square matrix")
-    a, pivots, _ = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
-                                  for i, row in enumerate(A)])
-    if [c for c, _ in pivots] != list(range(n)):
+    a, cols, p, _, _ = _eliminate([list(row) + [int(i == j) for j in range(n)]
+                                   for i, row in enumerate(A)])
+    if cols != list(range(n)):
         return None
-    return [row[n:] for row in a]
+    return [[Fraction(x, p) for x in row[n:]] for row in a]

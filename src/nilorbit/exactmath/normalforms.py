@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import mat_identity, mat_shape, mat_vec
-from .scalars import denominator_lcm, is_integral, quad_parts
-from ..errors import LatticeError
+from .linalg import integral_rows, mat_identity, mat_shape, mat_vec
+from .scalars import is_integral, quad_parts
+from ..errors import LatticeError, MixedFieldError
 
 
 def _as_int_matrix(M) -> list[list[int]]:
@@ -263,10 +263,7 @@ def rational_row_hnf(rows) -> tuple[list[list[Fraction]], list[list[int]]]:
     common denominator D, and U holds the integer row combinations expressing
     each basis row in terms of the input rows.
     """
-    if not rows:
-        return [], []
-    D = denominator_lcm(x for row in rows for x in row)
-    scaled = [[int(Fraction(x) * D) for x in row] for row in rows]
+    scaled, D = integral_rows(rows)
     H, U = hnf(scaled)
     basis, combos = [], []
     for row, u in zip(H, U):
@@ -277,10 +274,16 @@ def rational_row_hnf(rows) -> tuple[list[list[Fraction]], list[list[int]]]:
 
 
 def split_quad_vector(v) -> tuple[list[Fraction], list[Fraction]]:
-    """Componentwise (rational part, sqrt coefficient) of a scalar vector."""
+    """Componentwise (rational part, sqrt coefficient) of a vector over one
+    Q(sqrt(d)); irrational entries over two fields raise MixedFieldError."""
     rat, irr = [], []
+    field = None
     for x in v:
         a, b = quad_parts(x)
+        if b:
+            if field is not None and x.d != field:
+                raise MixedFieldError(f"cannot combine sqrt({field}) with sqrt({x.d})")
+            field = x.d
         rat.append(a)
         irr.append(b)
     return rat, irr

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import root_of_unity_orders
-from .linalg import mat_identity, mat_pow, mat_shape, mat_sub, mat_transpose, rref
+from .linalg import _eliminate, mat_identity, mat_pow, mat_shape, mat_sub, mat_transpose, rref
 from .scalars import as_fraction
 
 
@@ -35,20 +35,8 @@ class SubspaceQ:
     def pivot_columns(self) -> list[int]:
         return [next(j for j, x in enumerate(row) if x != 0) for row in self.basis]
 
-    def reduce(self, v) -> list[Fraction]:
-        """Residual of v after eliminating all pivot coordinates (zero iff member)."""
-        w = [as_fraction(x) for x in v]
-        for row, c in zip(self.basis, self.pivot_columns()):
-            f = w[c]
-            if f != 0:
-                w = [a - f * b for a, b in zip(w, row)]
-        return w
-
-    def contains(self, v) -> bool:
-        return all(x == 0 for x in self.reduce(v))
-
-    def coefficients_of(self, v):
-        """Coefficients of v in the RREF basis, or None if v is outside."""
+    def _back_substitute(self, v) -> tuple[list[Fraction], list[Fraction]]:
+        """(coefficients in the basis, residual) of v by back-substitution."""
         w = [as_fraction(x) for x in v]
         coeffs = []
         for row, c in zip(self.basis, self.pivot_columns()):
@@ -56,9 +44,19 @@ class SubspaceQ:
             coeffs.append(f)
             if f != 0:
                 w = [a - f * b for a, b in zip(w, row)]
-        if any(x != 0 for x in w):
-            return None
-        return coeffs
+        return coeffs, w
+
+    def reduce(self, v) -> list[Fraction]:
+        """Residual of v after eliminating all pivot coordinates (zero iff member)."""
+        return self._back_substitute(v)[1]
+
+    def contains(self, v) -> bool:
+        return all(x == 0 for x in self.reduce(v))
+
+    def coefficients_of(self, v):
+        """Coefficients of v in the RREF basis, or None if v is outside."""
+        coeffs, w = self._back_substitute(v)
+        return None if any(x != 0 for x in w) else coeffs
 
     def sum(self, other: "SubspaceQ") -> "SubspaceQ":
         if other.ambient_dim != self.ambient_dim:
@@ -84,16 +82,15 @@ class SubspaceQ:
 
 
 def rational_kernel(M) -> SubspaceQ:
-    """Canonical rational basis of ker(M); spans the real kernel as well."""
-    m, n = mat_shape(M)
-    rows = rref(M)
-    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in rows]
-    free = [j for j in range(n) if j not in pivots]
+    """Canonical rational basis of ker(M); spans the real kernel as well.
+    Free column f of the elimination gives p*e_f - sum_r a[r][f]*e_(c_r)."""
+    _, n = mat_shape(M)
+    a, cols, p, _, _ = _eliminate(M)
     vecs = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for row, c in zip(rows, pivots):
+    for f in (j for j in range(n) if j not in cols):
+        v = [0] * n
+        v[f] = p
+        for row, c in zip(a, cols):
             v[c] = -row[f]
         vecs.append(v)
     return SubspaceQ.from_vectors(n, vecs)

@@ -156,7 +156,7 @@ class InfraEndo:
     translation: tuple[Fraction, ...]
     rep_images: tuple[int, ...]
 
-    @property
+    @cached_property
     def determinant(self) -> int:
         return det(self.linear)
 

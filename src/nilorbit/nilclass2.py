@@ -23,6 +23,7 @@ from .exactmath import (
     det,
     eventually_fixed_subspace,
     freeze_matrix,
+    integral_rows,
     invert_rational,
     is_integer_matrix,
     mat_mul,
@@ -248,12 +249,12 @@ class LatticeSubgroup:
     @cached_property
     def integral_inverse(self):
         """(P, d) with integer P: the lattice-basis coordinates of X are P X / d."""
-        return _integral(self._full_matrix_inv)
+        return integral_rows(self._full_matrix_inv)
 
     @cached_property
     def _integral_columns(self):
         """(Q, d) with integer Q: the exponential coordinates of y are Q y / d."""
-        return _integral(mat_transpose([list(r) for r in self.basis]))
+        return integral_rows(mat_transpose([list(r) for r in self.basis]))
 
     @cached_property
     def _ab_matrix_inv(self):
@@ -336,12 +337,6 @@ class LatticeSubgroup:
         l = [Fraction(floor(x)) for x in c1]
         shift = self.central_combination([-x for x in l])
         return MalcevElement(self.group, [x + s for x, s in zip(g1.coords, shift)])
-
-
-def _integral(M):
-    """(integer rows, d) with M = rows / d for the least such d."""
-    d = denominator_lcm(x for row in M for x in row)
-    return tuple(tuple(int(x * d) for x in row) for row in M), d
 
 
 def _grid_coords(N: LatticeSubgroup, s: int, nums):
@@ -626,7 +621,7 @@ def _map_blocks(delta: NilEndo, N: LatticeSubgroup):
                 f"{name} block of the map in lattice coordinates is not {kind}",
                 payload=delta,
             )
-    return tuple(_integral(block)[0] for _, block, _ in blocks)
+    return tuple(integral_rows(block)[0] for _, block, _ in blocks)
 
 
 class NilCosets:

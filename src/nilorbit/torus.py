@@ -427,25 +427,20 @@ def constant_order_on_cycle(result: OrbitResult) -> bool:
 def equalizer_membership(phi, psi, v) -> bool:
     """Decide v in Q^n + H with H = ker(phi - psi), for v over Q(sqrt(d)).
 
-    Decided by reducing v modulo a rational complement of H and testing
-    rationality of the remainder; cross-checked against rationality of
-    (phi - psi) v, which it provably equals.
+    Decided by reducing the sqrt-part of v modulo H; cross-checked against
+    (phi - psi) applied to that sqrt-part, which vanishes exactly for members
+    since phi - psi is rational.  Mixing two fields raises MixedFieldError.
     """
     n, n2 = mat_shape(phi)
     if (n, n2) != mat_shape(psi) or n != n2:
         raise ValueError("equalizer needs two square matrices of equal shape")
     diff = mat_sub(phi, psi)
     H = rational_kernel(diff)
-    rat, irr = split_quad_vector(v)
-    # remainder of v modulo H lives in the coordinate complement; it is
-    # rational iff the sqrt-part of v reduces to zero against H
-    remainder_irr = H.reduce(irr)
-    member = vec_is_zero(remainder_irr)
-    image = mat_vec(diff, list(v))
-    image_rational = all(scalar_is_rational(x) for x in image)
-    if member != image_rational:
+    _, irr = split_quad_vector(v)
+    member = vec_is_zero(H.reduce(irr))
+    if member != vec_is_zero(mat_vec(diff, irr)):
         raise ConsistencyError(
-            "equalizer membership disagrees with rationality of the difference image",
+            "equalizer membership disagrees with the difference image",
             payload={"phi": phi, "psi": psi, "v": v},
         )
     return member

@@ -1,7 +1,8 @@
 """Independent reference computations used only as test oracles.
 
 These deliberately avoid the library's code paths: determinants by textbook
-Gaussian elimination, lattice membership by greedy triangular reduction,
+Gaussian elimination, reduced row echelon forms and kernels by Gauss-Jordan
+elimination over Fraction, lattice membership by greedy triangular reduction,
 totients by coprime counting, orbits by direct Fraction iteration, grid
 steps row by row, cycle detection by list search, orbit transcripts one
 state at a time, nil relative orders by stepping through multiples, nil
@@ -38,6 +39,45 @@ def gaussian_det(M):
                 f = a[i][k] / a[k][k]
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return out
+
+
+def reference_rref(rows):
+    """Reduced row echelon form over Q by Gauss-Jordan elimination on
+    Fractions; returns the nonzero rows."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    m = len(a)
+    pivots = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+        pivots.append(c)
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+    return a[: len(pivots)]
+
+
+def free_column_kernel(M):
+    """Kernel basis of M read off reference_rref: one vector e_f - sum of
+    rref[r][f] e_(c_r) per free column f, with c_r the pivot columns."""
+    n = len(M[0])
+    rows = reference_rref(M)
+    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in rows]
+    vecs = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f]
+        vecs.append(v)
+    return vecs
 
 
 def triangular_member(rows, v):

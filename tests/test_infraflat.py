@@ -138,6 +138,26 @@ def test_power_cover_built_once_per_group(monkeypatch):
     assert len(calls) == 2
 
 
+def test_determinant_computed_once_per_endo(monkeypatch):
+    from nilorbit import infraflat
+
+    calls = []
+    real_det = infraflat.det
+
+    def counting(M):
+        calls.append(M)
+        return real_det(M)
+
+    group = klein()
+    endo = klein_endo(group)
+    monkeypatch.setattr(infraflat, "det", counting)
+    # the auto cover and the Fitting lift both read the determinant
+    for x in ([F(1, 5), F(1, 7)], [F(1, 3), F(1, 2)], [F(0), F(1, 4)]):
+        classify_infra(group, endo, x)
+    assert calls == [endo.linear]
+    assert endo.determinant == 6
+
+
 def test_fitting_lift():
     group = klein()
     endo = klein_endo(group)

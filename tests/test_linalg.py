@@ -140,6 +140,9 @@ def test_kernel_examples():
     k = rational_kernel([[1, 1], [1, 1]])
     assert k.dim == 1
     assert k.contains([F(1), F(-1)])
+    # the free-column kernel vector of [[1, 1]] is (-1, 1); the canonical
+    # basis is its RREF (1, -1), so rational_kernel reduces once more
+    assert rational_kernel([[1, 1]]).basis == ((1, -1),)
     assert rational_image([[0, 0], [0, 0]]).dim == 0
 
 

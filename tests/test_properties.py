@@ -1,7 +1,8 @@
 """Property tests: the torus, nil and flat-manifold classifiers against
 direct Fraction oracles, the grid step, the cycle detection and the orbit
 transcripts against row-by-row, list-search and one-state-at-a-time
-oracles, and the report renderer against the standard library's encoder."""
+oracles, the integer elimination against Fraction Gauss-Jordan, and the
+report renderer against the standard library's encoder."""
 
 import itertools
 import json
@@ -16,11 +17,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nilorbit.errors import InvalidFixtureError  # noqa: E402
 from nilorbit.exactmath import (  # noqa: E402
+    SubspaceQ,
     denominator_lcm,
     det,
     invert_rational,
     mat_identity,
     mat_mul,
+    rational_kernel,
     rref,
 )
 from nilorbit.fixtures import (  # noqa: E402
@@ -47,12 +50,14 @@ from nilorbit.torus import TorusEndo, TorusGrid, TorusPoint, _step_factory, clas
 from oracles import (  # noqa: E402
     brute_orbit,
     flat_reference_walk,
+    free_column_kernel,
     gaussian_det,
     json_report_text,
     naive_orbit,
     nil_reference_transcript,
     nil_reference_walk,
     nil_relative_order_search,
+    reference_rref,
     reference_torus_step,
     reference_transcript,
 )
@@ -210,32 +215,56 @@ def test_step_factory_builds_once_per_dimension():
 
 
 @st.composite
-def rational_square_matrices(draw):
-    n = draw(st.integers(1, 5))
-    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
-    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
-    if n > 1 and draw(st.booleans()):
-        # a rational combination of the other rows makes the matrix singular
-        i = draw(st.integers(0, n - 1))
-        coeffs = [draw(entry) for _ in range(n)]
+def rational_matrices(draw):
+    """A 1-5 x 1-6 matrix, square half of the time, of ints or of
+    Fractions; some rows are forced to be rational combinations of the
+    others or zero, and some matrices are zero throughout."""
+    m = draw(st.integers(1, 5))
+    n = m if draw(st.booleans()) else draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        entry = st.integers(-4, 4)
+    else:
+        entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    kind = draw(st.sampled_from(["free", "dependent", "zero row", "zero"]))
+    i = draw(st.integers(0, m - 1))
+    if kind == "dependent" and m > 1:
+        coeffs = [draw(entry) for _ in range(m)]
         rows[i] = [
             sum(c * row[j] for k, (c, row) in enumerate(zip(coeffs, rows)) if k != i)
             for j in range(n)
         ]
+    elif kind == "zero row":
+        rows[i] = [0] * n
+    elif kind == "zero":
+        rows = [[0] * n for _ in range(m)]
     return rows
 
 
-@settings(max_examples=300)
-@given(rational_square_matrices())
+@settings(max_examples=400)
+@given(rational_matrices())
 def test_gauss_jordan_matches_oracle(A):
-    # det, invert_rational and rref share one elimination
+    # det, rref and invert_rational share one fraction-free elimination
+    assert rref(A) == reference_rref(A)
+    if len(A) != len(A[0]):
+        return
     D = det(A)
     assert D == gaussian_det(A)
+    is_int = all(isinstance(x, int) for row in A for x in row)
+    assert isinstance(D, int) == is_int
     inverse = invert_rational(A)
     assert (inverse is None) == (D == 0)
     if inverse is not None:
         assert mat_mul(A, inverse) == mat_identity(len(A))
-    assert (len(rref(A)) == len(A)) == (D != 0)
+
+
+@settings(max_examples=200)
+@given(rational_matrices())
+def test_rational_kernel_is_canonical_free_column_kernel(M):
+    # the kernel vectors come from the integer elimination, scaled by its
+    # last pivot; from_vectors brings them to the canonical RREF basis
+    n = len(M[0])
+    assert rational_kernel(M) == SubspaceQ.from_vectors(n, free_column_kernel(M))
 
 
 @st.composite

@@ -5,9 +5,15 @@ from math import gcd
 
 import pytest
 
-from nilorbit.errors import ConsistencyError, LatticeError, UnsupportedInputError
+from nilorbit.errors import (
+    ConsistencyError,
+    LatticeError,
+    MixedFieldError,
+    UnsupportedInputError,
+)
 from nilorbit.exactmath import (
     QuadExt,
+    SubspaceQ,
     coset_representatives,
     mat_pow,
     mat_vec,
@@ -15,6 +21,7 @@ from nilorbit.exactmath import (
 )
 from nilorbit.orbits import sweep_orbits
 from nilorbit.torus import (
+    EventuallyPeriodicSet,
     TorusEndo,
     TorusGrid,
     TorusPoint,
@@ -359,6 +366,21 @@ def test_equalizer_membership_matches_rationality():
             ]
             # the function cross-checks both decision paths internally
             equalizer_membership(phi, psi, v)
+
+
+def test_mixed_quadratic_fields_raise():
+    # sqrt(2) and sqrt(3) are independent over Q, so no rational subspace
+    # decides a vector that carries both
+    v = [QuadExt.sqrt(2), QuadExt.sqrt(3)]
+    eps = EventuallyPeriodicSet(TorusPoint((F(0), F(0))), SubspaceQ.from_vectors(2, [[1, 1]]))
+    with pytest.raises(MixedFieldError):
+        eps.contains(v)
+    with pytest.raises(MixedFieldError):
+        equalizer_membership([[1, 0], [0, 1]], [[0, 1], [1, 0]], v)
+    # a rational entry's field tag does not count
+    w = [QuadExt.sqrt(2), QuadExt.rational(F(1, 2), 3)]
+    assert not eps.contains(w)
+    assert not equalizer_membership([[1, 0], [0, 1]], [[0, 1], [1, 0]], w)
 
 
 # --- covering transfer ---------------------------------------------------------------
