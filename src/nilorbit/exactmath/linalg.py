@@ -117,8 +117,11 @@ def geometric_sum(A, k: int):
 def integral_rows(M) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(integer rows, d) with M = rows / d for the least d; ints stay ints."""
     M = [[x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in row] for row in M]
-    d = lcm(*(x.denominator for row in M for x in row))
-    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in M), d
+    d = lcm(*{x.denominator for row in M for x in row})
+    # tuples from lists, not generators: CPython builds a tuple from a
+    # generator by resizing, which leaves one block per call in the tuple
+    # free list of the final size, up to 2000 per size
+    return tuple([tuple([x.numerator * (d // x.denominator) for x in row]) for row in M]), d
 
 
 def _eliminate(rows):
@@ -164,10 +167,18 @@ def det(M):
     return value if all(isinstance(x, int) for row in M for x in row) else Fraction(value, d**n)
 
 
+def integral_rref(rows) -> tuple[list[list[int]], list[int], int]:
+    """(R, cols, p): the nonzero rows of the reduced row echelon form over Q
+    are R / p, with integer rows R whose pivot entries in columns cols all
+    equal p."""
+    a, cols, p, _, _ = _eliminate(rows)
+    return a[: len(cols)], cols, p
+
+
 def rref(rows) -> list[list[Fraction]]:
     """Reduced row echelon form over Q; returns the nonzero rows."""
-    a, cols, p, _, _ = _eliminate(rows)
-    return [[Fraction(x, p) for x in row] for row in a[: len(cols)]]
+    R, _, p = integral_rref(rows)
+    return [[Fraction(x, p) for x in row] for row in R]
 
 
 def charpoly(M) -> list[Fraction]:

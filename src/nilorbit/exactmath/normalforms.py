@@ -8,9 +8,10 @@ downstream classification transcripts are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from .linalg import integral_rows, mat_identity, mat_shape, mat_vec
-from .scalars import is_integral, quad_parts
+from .linalg import integral_rows, mat_identity, mat_shape
+from .scalars import QuadExt, quad_parts
 from ..errors import LatticeError, MixedFieldError
 
 
@@ -143,54 +144,93 @@ def snf(M) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     return S, U, V
 
 
-def solve_mod_lattice(M, c):
-    """Solve M x == c (mod Z^n) exactly, or return None.
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
 
-    M is a square integer matrix; c may have Fraction or QuadExt entries.
-    Solvability is decided through the Smith form: after the unimodular
-    change of rows, each zero invariant factor demands an integral right-hand
-    side, every nonzero one is divided out.
+
+def integral_quad_vector(v) -> tuple[tuple[int, ...], tuple[int, ...], int, int | None]:
+    """(r, s, D, d) with v = (r + s*sqrt(d)) / D for integer vectors r and s
+    and the least common denominator D of every rational and sqrt-part; d
+    is None when the sqrt-part is zero.  Two fields raise MixedFieldError."""
+    rat, irr = split_quad_vector(v)
+    (r, s), D = integral_rows([rat, irr])
+    d = next((x.d for x in v if isinstance(x, QuadExt) and x.b), None)
+    return r, s, D, d
+
+
+def quad_vector(r, s, D, d) -> list:
+    """The vector (r + s*sqrt(d)) / D: a Fraction where the sqrt-part is zero,
+    a QuadExt over Q(sqrt(d)) elsewhere."""
+    return [QuadExt(Fraction(a, D), Fraction(b, D), d) if b else Fraction(a, D)
+            for a, b in zip(r, s)]
+
+
+def smith_solve_mod_lattice(M, r, s, D):
+    """Solve M x == (r + s*sqrt(d)) / D (mod Z^n) on integers, or return None.
+
+    M is a square integer matrix, r and s integer vectors.  With the Smith
+    form S = U M V, the right-hand side becomes (U r, U s) / D.  A zero
+    invariant factor demands a zero sqrt-part and an integral rational part;
+    every nonzero one, which divides the last nonzero one E, is divided out
+    as a multiplication by E / S[i][i].  Returns (x_r, x_s, D*E) with
+    x = (x_r + x_s*sqrt(d)) / (D*E), where x_r = V y_r and x_s = V y_s.
     """
     n, n2 = mat_shape(M)
     if n != n2:
         raise ValueError("solve_mod_lattice needs a square matrix")
+    if len(r) != n or len(s) != n:
+        raise ValueError(f"right-hand side of length {len(r)} for a {n}x{n} matrix")
     S, U, V = snf(M)
-    rhs = mat_vec(U, list(c))
-    y = []
-    for i in range(n):
-        s = S[i][i]
-        if s == 0:
-            if not is_integral(rhs[i]):
+    factors = [S[i][i] for i in range(n)]
+    E = next((f for f in reversed(factors) if f), 1)
+    y_r, y_s = [], []
+    for u, f in zip(U, factors):
+        a, b = _dot(u, r), _dot(u, s)
+        if f == 0:
+            if b or a % D:
                 return None
-            y.append(Fraction(0))
+            a = b = 0
         else:
-            y.append(rhs[i] / s)
-    return mat_vec(V, y)
+            a, b = a * (E // f), b * (E // f)
+        y_r.append(a)
+        y_s.append(b)
+    return [_dot(row, y_r) for row in V], [_dot(row, y_s) for row in V], D * E
+
+
+def solve_mod_lattice(M, c):
+    """Solve M x == c (mod Z^n) exactly, or return None.
+
+    M is a square integer matrix; c may have Fraction or QuadExt entries.
+    Solvability is decided on integers by smith_solve_mod_lattice; Fractions
+    and QuadExts are built only for the solution.
+    """
+    r, s, D, d = integral_quad_vector(c)
+    solution = smith_solve_mod_lattice(M, r, s, D)
+    return None if solution is None else quad_vector(*solution, d)
 
 
 def solve_integer(M, c):
     """Solve M z = c exactly with z an integer vector, or return None.
 
-    M is an integer matrix (any shape), c a rational vector.
+    M is an integer matrix (any shape), c a rational or Q(sqrt(d)) vector.
+    With the Smith form S = U M V and c = (r + s*sqrt(d)) / D, a solution
+    needs U s = 0, and (U r)_i divisible by D*S[i][i], zero where
+    S[i][i] = 0.  Decided on integers only.
     """
     m, n = mat_shape(M)
     if len(c) != m:
         raise ValueError("dimension mismatch")
+    r, s, D, _ = integral_quad_vector(c)
     S, U, V = snf(M)
-    rhs = mat_vec(U, [Fraction(x) for x in c])
-    y = [Fraction(0)] * n
-    for i in range(m):
-        s = S[i][i] if i < n else 0
-        if s == 0:
-            if rhs[i] != 0:
-                return None
-        else:
-            q = rhs[i] / s
-            if q.denominator != 1:
-                return None
-            y[i] = q
-    z = mat_vec(V, y)
-    return [int(v) for v in z]
+    y = [0] * n
+    for i, u in enumerate(U):
+        a, b = _dot(u, r), _dot(u, s)
+        f = S[i][i] * D if i < n else 0
+        if b or (a if f == 0 else a % f):
+            return None
+        if f:
+            y[i] = a // f
+    return [_dot(row, y) for row in V]
 
 
 def _pivot_col(row):
@@ -201,19 +241,22 @@ def _pivot_col(row):
 
 
 def row_span_contains(rows, v) -> bool:
-    """Membership of a rational vector in the integer row span of HNF rows."""
-    w = [Fraction(x) for x in v]
+    """Membership of a rational vector in the integer row span of integer
+    rows in echelon form (HNF rows), decided on D*v for the least common
+    denominator D of v."""
+    if any(len(row) != len(v) for row in rows):
+        raise ValueError(f"vector of length {len(v)} against rows of another length")
+    (w,), D = integral_rows([v])
     for row in rows:
         c = _pivot_col(row)
         if c is None:
             continue
-        q = w[c] / row[c]
-        if q == 0:
-            continue
-        if q.denominator != 1:
+        q, rem = divmod(w[c], D * row[c])
+        if rem:
             return False
-        w = [a - q * b for a, b in zip(w, row)]
-    return all(x == 0 for x in w)
+        if q:
+            w = [a - q * D * b for a, b in zip(w, row)]
+    return not any(w)
 
 
 def nonzero_rows(rows):

@@ -262,16 +262,18 @@ class FlatPoints(TorusGrid):
 
     def __init__(self, group: BieberbachGroup, f: TorusEndo, m: int):
         super().__init__(f, m)
-        self._images = [TorusGrid(TorusEndo(rep.F, rep.t), m).step for rep in group.reps]
-        lift, canonical = self.step, self.canonical
+        images = [TorusGrid(TorusEndo(rep.F, rep.t), m).step for rep in group.reps]
+        lift = self.step
+
+        # plain closures, not bound methods: the instance holds them, and
+        # they hold no reference back to it, so no cycle waits for the gc
+        def canonical(state):
+            return min(image(state) for image in images)
 
         def step(state):
             return canonical(lift(state))
 
-        self.step = step
-
-    def canonical(self, state):
-        return min(image(state) for image in self._images)
+        self.canonical, self.step = canonical, step
 
 
 def classify_infra(

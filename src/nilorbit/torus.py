@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat, starmap
 from math import gcd, prod
-from operator import floordiv
+from operator import floordiv, mul
 
 from .errors import (
     ConsistencyError,
@@ -34,6 +34,9 @@ from .exactmath import (
     freeze_matrix,
     geometric_sum,
     hnf_basis,
+    integral_quad_vector,
+    integral_rows,
+    integral_rref,
     invert_rational,
     is_integer_matrix,
     lcm,
@@ -44,12 +47,14 @@ from .exactmath import (
     mat_sub,
     mat_transpose,
     mat_vec,
+    maximal_root_of_unity_orders,
+    quad_vector,
     rational_kernel,
     root_of_unity_orders,
     reduce_mod_lattice,
     row_span_contains,
     scalar_is_rational,
-    solve_mod_lattice,
+    smith_solve_mod_lattice,
     split_quad_vector,
     vec_is_zero,
 )
@@ -274,12 +279,18 @@ def periodic_point_of_period(f: TorusEndo, k: int):
 def _period_solution(f: TorusEndo, k: int, b):
     """A solution of the period-k equation, or None.
 
-    Fixed points of the k-th iterate solve (A^k - I) x == -(A^{k-1}+...+I) b
-    modulo Z^n; b may be rational or quadratic.
+    Fixed points of the k-th iterate solve (A^k - I) x == -G b modulo Z^n
+    with G = A^{k-1}+...+I, and A^k - I = (A - I) G; b may be rational or
+    quadratic.  G multiplies the integer numerators of b, and the Smith-form
+    solve runs on integers.
     """
-    Mk = mat_sub(mat_pow(f.linear, k), mat_identity(f.dim))
-    c = mat_vec(geometric_sum(f.linear, k), list(b))
-    return solve_mod_lattice(Mk, [-v for v in c])
+    G = geometric_sum(f.linear, k)
+    Mk = mat_mul(mat_sub(f.linear, mat_identity(f.dim)), G)
+    r, s, D, d = integral_quad_vector(b)
+    solution = smith_solve_mod_lattice(
+        Mk, [-x for x in mat_vec(G, r)], [-x for x in mat_vec(G, s)], D
+    )
+    return None if solution is None else quad_vector(*solution, d)
 
 
 class TranslationVerdict(enum.Enum):
@@ -315,9 +326,13 @@ class PeriodicPointSearch:
 
 
 def has_unity_eigenvalue(A) -> bool:
-    """True iff some eigenvalue of A is a root of unity (decided rationally:
-    the eventually fixed subspace is nonzero)."""
-    return eventually_fixed_subspace(A).dim > 0
+    """True iff some eigenvalue of A is a root of unity: det(A^d - I) = 0 for
+    one of the maximal orders d, since every order a root-of-unity eigenvalue
+    can have divides one of them (see eventually_fixed_subspace).  The orders
+    are tried in turn up to the first zero determinant."""
+    ident = mat_identity(len(A))
+    return any(det(mat_sub(mat_pow(A, d), ident)) == 0
+               for d in maximal_root_of_unity_orders(len(A)))
 
 
 def has_periodic_point(f: TorusEndo, k_max: int = 64) -> PeriodicPointSearch:
@@ -427,18 +442,23 @@ def constant_order_on_cycle(result: OrbitResult) -> bool:
 def equalizer_membership(phi, psi, v) -> bool:
     """Decide v in Q^n + H with H = ker(phi - psi), for v over Q(sqrt(d)).
 
-    Decided by reducing the sqrt-part of v modulo H; cross-checked against
-    (phi - psi) applied to that sqrt-part, which vanishes exactly for members
-    since phi - psi is rational.  Mixing two fields raises MixedFieldError.
+    phi and psi are scaled to integers by one denominator, so H is the kernel
+    of the integer difference; v is a member iff its sqrt-part, scaled to
+    integers, is killed by the integer RREF rows of that difference.  This
+    is cross-checked against the difference itself applied to the sqrt-part.
+    Mixing two fields raises MixedFieldError.
     """
     n, n2 = mat_shape(phi)
     if (n, n2) != mat_shape(psi) or n != n2:
         raise ValueError("equalizer needs two square matrices of equal shape")
-    diff = mat_sub(phi, psi)
-    H = rational_kernel(diff)
+    if len(v) != n:
+        raise ValueError(f"vector of length {len(v)} for {n}x{n} matrices")
+    rows, _ = integral_rows([*phi, *psi])
+    diff = [[a - b for a, b in zip(p, q)] for p, q in zip(rows[:n], rows[n:])]
     _, irr = split_quad_vector(v)
-    member = vec_is_zero(H.reduce(irr))
-    if member != vec_is_zero(mat_vec(diff, irr)):
+    (s,), _ = integral_rows([irr])
+    member = not any(sum(map(mul, row, s)) for row in integral_rref(diff)[0])
+    if member != vec_is_zero(mat_vec(diff, s)):
         raise ConsistencyError(
             "equalizer membership disagrees with the difference image",
             payload={"phi": phi, "psi": psi, "v": v},

@@ -9,6 +9,11 @@ state at a time, nil relative orders by stepping through multiples, nil
 orbits by Fraction BCH products,
 flat-manifold orbits by a Fraction min over holonomy images and report text
 by the standard library's JSON encoder.
+
+The Fraction and QuadExt structure decisions the library replaced with
+integer ones live on here: the sum of ker(M^d - I) over every root-of-unity
+order, the Smith-form solves over Fraction and QuadExt right-hand sides,
+and back-substitution in an RREF basis over Fraction.
 """
 
 import json
@@ -17,7 +22,7 @@ from math import gcd, lcm
 from operator import mul
 
 from nilorbit.errors import SearchBoundExceededError
-from nilorbit.exactmath import denominator_lcm
+from nilorbit.exactmath import denominator_lcm, is_integral, mat_pow, mat_vec, snf
 from nilorbit.nilclass2 import MalcevElement, apply_endo, bch_pow
 from nilorbit.torus import TorusPoint
 
@@ -78,6 +83,72 @@ def free_column_kernel(M):
             v[c] = -row[f]
         vecs.append(v)
     return vecs
+
+
+def reference_eventually_fixed_subspace(M, include_nilpotent=False):
+    """RREF rows of the sum of ker(M^d - I) over every d with totient
+    phi(d) <= n (found by coprime counting), plus ker(M^n) when
+    include_nilpotent is set; kernels by free_column_kernel."""
+    n = len(M)
+    vectors = []
+    for d in range(1, 2 * n * n + 1):
+        if totient_count(d) <= n:
+            P = mat_pow(M, d)
+            vectors += free_column_kernel([[x - (i == j) for j, x in enumerate(row)]
+                                           for i, row in enumerate(P)])
+    if include_nilpotent:
+        vectors += free_column_kernel(mat_pow(M, n))
+    return reference_rref(vectors) if vectors else []
+
+
+def reference_solve_mod_lattice(M, c):
+    """M x == c (mod Z^n) through the Smith form, with U c and V y over
+    Fraction or QuadExt entries."""
+    n = len(M)
+    S, U, V = snf(M)
+    rhs = mat_vec(U, list(c))
+    y = []
+    for i in range(n):
+        s = S[i][i]
+        if s == 0:
+            if not is_integral(rhs[i]):
+                return None
+            y.append(Fraction(0))
+        else:
+            y.append(rhs[i] / s)
+    return mat_vec(V, y)
+
+
+def reference_solve_integer(M, c):
+    """An integer z with M z = c through the Smith form over Fraction, or None."""
+    m, n = len(M), len(M[0])
+    S, U, V = snf(M)
+    rhs = mat_vec(U, [Fraction(x) for x in c])
+    y = [Fraction(0)] * n
+    for i in range(m):
+        s = S[i][i] if i < n else 0
+        if s == 0:
+            if rhs[i] != 0:
+                return None
+        else:
+            q = rhs[i] / s
+            if q.denominator != 1:
+                return None
+            y[i] = q
+    return [int(v) for v in mat_vec(V, y)]
+
+
+def reference_back_substitute(basis, v):
+    """(coefficients, residual) of v against RREF rows, over Fraction."""
+    w = [Fraction(x) for x in v]
+    coeffs = []
+    for row in basis:
+        c = next(j for j, x in enumerate(row) if x != 0)
+        f = w[c]
+        coeffs.append(f)
+        if f != 0:
+            w = [a - f * b for a, b in zip(w, row)]
+    return coeffs, w
 
 
 def triangular_member(rows, v):
