@@ -269,21 +269,6 @@ def hnf_basis(M) -> list[list[int]]:
     return nonzero_rows(H)
 
 
-def reduce_mod_lattice(basis, x):
-    """Canonical representative of x modulo the lattice spanned by `basis`.
-
-    `basis` must be a full-rank square HNF (upper triangular, positive
-    diagonal); the output has coordinate i in [0, basis[i][i]).
-    """
-    n = len(basis)
-    w = list(x)
-    for i in range(n):
-        q = Fraction(w[i]) // basis[i][i]
-        if q:
-            w = [a - q * b for a, b in zip(w, basis[i])]
-    return w
-
-
 def coset_representatives(basis) -> list[tuple[int, ...]]:
     """Transversal of Z^n modulo a full-rank HNF sublattice basis.
 

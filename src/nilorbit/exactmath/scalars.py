@@ -221,7 +221,9 @@ def parse_scalar(text) -> Scalar:
 
 def denominator_lcm(values) -> int:
     """lcm of the denominators of a sequence of rationals."""
-    return lcm(*(as_fraction(v).denominator for v in values))
+    # a list, not a generator: lcm(*generator) builds its argument tuple by
+    # resizing, which leaves one block per call in CPython's tuple free list
+    return lcm(*[as_fraction(v).denominator for v in values])
 
 
 def prime_support(n: int) -> frozenset[int]:

@@ -32,8 +32,8 @@ from .exactmath import (
     row_span_contains,
     solve_integer,
 )
-from .orbits import Classification, classify_orbit
-from .torus import TorusEndo, TorusGrid, classify_fiber, relative_order
+from .orbits import Classification, orbit_verdict
+from .torus import TorusEndo, TorusGrid, fiber_verdicts, relative_order
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,11 @@ class BieberbachGroup:
     def power_cover(self) -> TorusCover:
         """holonomy_power_cover(self), built and checked once per group."""
         return holonomy_power_cover(self)
+
+    @cached_property
+    def rep_maps(self) -> tuple[TorusEndo, ...]:
+        """Each representative as a torus map, built once per group."""
+        return tuple(TorusEndo(rep.F, rep.t) for rep in self.reps)
 
 
 def _rep_order(F, cap: int) -> int:
@@ -256,13 +261,14 @@ class FlatPoints(TorusGrid):
     """An admissible map f on the flat manifold, walked on numerators of the
     grid (1/m)Z^n: a state is the least numerator tuple of a group orbit.
 
-    Each representative (F, t) is an integer affine map on numerators, so
-    m must also be a multiple of the relative order of every t.
+    Each representative (F, t) is an integer affine map on numerators, a
+    state a to (F a + m t) mod m, listed in `images`; so m must also be a
+    multiple of the relative order of every t.
     """
 
     def __init__(self, group: BieberbachGroup, f: TorusEndo, m: int):
         super().__init__(f, m)
-        images = [TorusGrid(TorusEndo(rep.F, rep.t), m).step for rep in group.reps]
+        self.images = images = [TorusGrid(rep, m).step for rep in group.rep_maps]
         lift = self.step
 
         # plain closures, not bound methods: the instance holds them, and
@@ -305,10 +311,13 @@ def classify_infra(
 
     # numerators mod m order like the points a/m in [0, 1)
     m = lcm(relative_order(xs), lift.translation_order,
-            *(relative_order(rep.t) for rep in group.reps))
+            *(rep.translation_order for rep in group.rep_maps))
     flat = FlatPoints(group, lift, m)
-    base, _ = classify_orbit(flat, flat.canonical(tuple(int(v * m) % m for v in xs)))
-    _, fiber_cls = classify_fiber(rows, lift, [rep.apply(xs) for rep in group.reps])
+    a = tuple(int(v * m) % m for v in xs)
+    base = orbit_verdict(flat.step, flat.orders, flat.canonical(a))
+    # the fiber over the group orbit of x starts at the images rep.apply(x),
+    # on numerators over m; a shift by Z^n leaves the fiber as a set
+    _, fiber_cls = fiber_verdicts(rows, lift, [image(a) for image in flat.images], m)
     if any(c.periodic for c in fiber_cls) != base.periodic:
         raise ConsistencyError(
             "periodicity does not project correctly along the cover",

@@ -41,6 +41,16 @@ def classify_orbit(system, start):
     return Classification(mu, lam, trace), OrbitResult(mu, lam, points[:mu], points[mu:])
 
 
+def orbit_verdict(step: Callable[[State], State], orders, start) -> Classification:
+    """Classify the orbit of the state `start` without building its points.
+
+    `orders(path)` returns the relative orders of the points the states of a
+    path stand for, as a tuple; that tuple is the whole transcript kept.
+    """
+    mu, lam, path = iterate_orbit(step, start)
+    return Classification(mu, lam, orders(path))
+
+
 def sweep_orbits(step: Callable[[State], State], states: Iterable[State]):
     """(preperiod, period) for every given state, sharing work across orbits.
 

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat, starmap
+from itertools import islice, repeat, starmap
 from math import gcd, prod
 from operator import floordiv, mul
 
@@ -32,7 +32,6 @@ from .exactmath import (
     det,
     eventually_fixed_subspace,
     freeze_matrix,
-    geometric_sum,
     hnf_basis,
     integral_quad_vector,
     integral_rows,
@@ -40,6 +39,7 @@ from .exactmath import (
     invert_rational,
     is_integer_matrix,
     lcm,
+    mat_add,
     mat_identity,
     mat_mul,
     mat_pow,
@@ -51,14 +51,13 @@ from .exactmath import (
     quad_vector,
     rational_kernel,
     root_of_unity_orders,
-    reduce_mod_lattice,
     row_span_contains,
     scalar_is_rational,
     smith_solve_mod_lattice,
     split_quad_vector,
     vec_is_zero,
 )
-from .orbits import Classification, OrbitResult, classify_orbit
+from .orbits import Classification, OrbitResult, classify_orbit, orbit_verdict
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,13 +235,16 @@ class TorusGrid:
         """Relative order of the grid point state/m."""
         return self.m // gcd(self.m, *state)
 
+    def orders(self, path) -> tuple[int, ...]:
+        """Relative orders of the grid points of the states on a path."""
+        m = self.m
+        return tuple(map(floordiv, repeat(m), starmap(gcd, map((m,).__add__, path))))
+
     def transcript(self, path):
         """(relative orders, points) of the states on a path, a column at a time."""
-        m = self.m
-        trace = tuple(map(floordiv, repeat(m), starmap(gcd, map((m,).__add__, path))))
         # numerators are reduced mod m, so every a/m is already in [0, 1)
         columns = [tuple(map(self._fractions.__getitem__, column)) for column in zip(*path)]
-        return trace, TorusPoint._canonical_points(zip(*columns))
+        return self.orders(path), TorusPoint._canonical_points(zip(*columns))
 
 
 def classify(f: TorusEndo, q) -> tuple[Classification, OrbitResult]:
@@ -272,20 +274,32 @@ def periodic_point_of_period(f: TorusEndo, k: int):
     """A point of period dividing k, or None (see _period_solution)."""
     if k < 1:
         raise ValueError("period must be positive")
-    x = _period_solution(f, k, f.translation_fractions())
+    G, Mk = next(islice(_period_systems(f.linear), k - 1, None))
+    x = _period_solution(G, Mk, f.translation_fractions())
     return None if x is None else TorusPoint(tuple(x))
 
 
-def _period_solution(f: TorusEndo, k: int, b):
+def _period_systems(A):
+    """(G, A^k - I) for k = 1, 2, ... with G = A^{k-1}+...+I.
+
+    One product per k: A G_k = G_(k+1) - I, and A^k - I = A G_k - G_k.
+    """
+    ident = mat_identity(len(A))
+    G = ident
+    while True:
+        AG = mat_mul(A, G)
+        yield G, mat_sub(AG, G)
+        G = mat_add(ident, AG)
+
+
+def _period_solution(G, Mk, b):
     """A solution of the period-k equation, or None.
 
     Fixed points of the k-th iterate solve (A^k - I) x == -G b modulo Z^n
-    with G = A^{k-1}+...+I, and A^k - I = (A - I) G; b may be rational or
-    quadratic.  G multiplies the integer numerators of b, and the Smith-form
-    solve runs on integers.
+    with G = A^{k-1}+...+I, as _period_systems yields them; b may be
+    rational or quadratic.  G multiplies the integer numerators of b, and
+    the Smith-form solve runs on integers.
     """
-    G = geometric_sum(f.linear, k)
-    Mk = mat_mul(mat_sub(f.linear, mat_identity(f.dim)), G)
     r, s, D, d = integral_quad_vector(b)
     solution = smith_solve_mod_lattice(
         Mk, [-x for x in mat_vec(G, r)], [-x for x in mat_vec(G, s)], D
@@ -350,8 +364,8 @@ def has_periodic_point(f: TorusEndo, k_max: int = 64) -> PeriodicPointSearch:
         return PeriodicPointSearch("yes", k=k0)
     if not has_unity_eigenvalue(f.linear):
         return PeriodicPointSearch("yes", k=1)
-    for k in range(1, k_max + 1):
-        if _period_solution(f, k, f.translation) is not None:
+    for k, (G, Mk) in zip(range(1, k_max + 1), _period_systems(f.linear)):
+        if _period_solution(G, Mk, f.translation) is not None:
             return PeriodicPointSearch("yes", k=k)
     return PeriodicPointSearch("unknown", bound=k_max)
 
@@ -406,8 +420,8 @@ def eventually_periodic_set(f: TorusEndo, k_bound: int | None = None) -> Eventua
     if k_bound is None:
         k_bound = max(1, lcm(*root_of_unity_orders(f.dim)) * relative_order(b))
     g0 = None
-    for k in range(1, k_bound + 1):
-        g0 = periodic_point_of_period(f, k)
+    for _, (G, Mk) in zip(range(k_bound), _period_systems(f.linear)):
+        g0 = _period_solution(G, Mk, b)
         if g0 is not None:
             break
     if g0 is None:
@@ -415,7 +429,7 @@ def eventually_periodic_set(f: TorusEndo, k_bound: int | None = None) -> Eventua
             f"no periodic point found among iterates k <= {k_bound}", k_bound
         )
     H = unity_subspace(f.linear, include_kernel=f.determinant == 0)
-    return EventuallyPeriodicSet(g0, H)
+    return EventuallyPeriodicSet(TorusPoint(tuple(g0)), H)
 
 
 def order_coprime_to_det(f: TorusEndo, q) -> bool:
@@ -474,11 +488,12 @@ def lattice_coordinates(rows, A, b):
     A must preserve L, so the conjugated linear part is integral.  Both are
     computed once per (rows, A, b) while they stay in a bounded cache.
     """
-    return _lattice_coordinates(freeze_matrix(rows), freeze_matrix(A), tuple(b))
+    return _lattice_coordinates(freeze_matrix(rows), freeze_matrix(A), tuple(b))[:2]
 
 
 @lru_cache(maxsize=256)
 def _lattice_coordinates(rows, A, b):
+    """(map on u, B^-1, Bi, D) with B^-1 = Bi / D for an integer matrix Bi."""
     n = len(A)
     B = [[Fraction(rows[j][i]) for j in range(n)] for i in range(n)]
     Binv = invert_rational(B)
@@ -487,7 +502,8 @@ def _lattice_coordinates(rows, A, b):
         # lru_cache stores no exception, so every call raises again
         raise ConsistencyError("conjugated linear part is not integral", payload=A_up)
     b_up = mat_vec(Binv, list(b))
-    return TorusEndo([[int(x) for x in row] for row in A_up], b_up), freeze_matrix(Binv)
+    Bi, D = integral_rows(Binv)
+    return TorusEndo([[int(x) for x in row] for row in A_up], b_up), freeze_matrix(Binv), Bi, D
 
 
 def cover_lattice(L_basis, A) -> list[list[int]]:
@@ -514,21 +530,55 @@ def classify_fiber(rows, f: TorusEndo, points):
     L is spanned by the full-rank HNF `rows` and preserved by the linear
     part of f (see cover_lattice).  Returns (fiber, classifications); fiber
     points are ambient coordinates reduced modulo L, listed point by point
-    and, over each point, in the order of coset_representatives.
+    and, over each point, in the order of coset_representatives.  The
+    points are written over one common denominator and classified by
+    fiber_verdicts; Fractions are built for the returned fiber only.
     """
-    f_up, Binv = lattice_coordinates(rows, f.linear, f.translation_fractions())
-    shifts = coset_representatives(rows)
+    numerators, q = integral_rows(points)
+    fiber, classes = fiber_verdicts(rows, f, numerators, q)
+    return [tuple([Fraction(a, q) for a in w]) for w in fiber], classes
+
+
+def fiber_verdicts(rows, f: TorusEndo, numerators, q: int):
+    """classify_fiber on integers: the points are the integer vectors
+    `numerators` over the common denominator q.
+
+    Returns (fiber, classifications) with each fiber point as its integer
+    numerators over q.  A fiber point w/q has lattice coordinates
+    Bi w / (D q) for B^-1 = Bi / D, so every fiber orbit lives on the one
+    grid of denominator M = lcm(D q, ord(b_up)); relative orders do not
+    depend on the multiple M chosen, and the walk keeps nothing but them.
+    """
+    f_up, _, Bi, D = _lattice_coordinates(
+        freeze_matrix(rows), f.linear, f.translation_fractions())
+    if any(len(a) != f.dim for a in numerators):
+        raise ValueError(f"fiber over a point of the wrong length for dimension {f.dim}")
+    M = lcm(D * q, f_up.translation_order)
+    scale = M // (D * q)
+    grid = TorusGrid(f_up, M)
+    # reduction modulo L: coordinate i of w/q lands in [0, H_ii), that is
+    # w_i in [0, q H_ii), by subtracting multiples of the row q H_i
+    lattice = [[q * x for x in row] for row in rows]
+    shifts = [[q * z for z in shift] for shift in coset_representatives(rows)]
     fiber = []
     classes = []
-    for p in points:
+    for a in numerators:
         for z in shifts:
-            x = [a + b for a, b in zip(p, z)]
-            fiber.append(tuple(reduce_mod_lattice(rows, x)))
-            classes.append(classify(f_up, mat_vec(Binv, x))[0])
+            w = [x + y for x, y in zip(a, z)]
+            for i, row in enumerate(lattice):
+                t = w[i] // row[i]
+                if t:
+                    w = [x - t * y for x, y in zip(w, row)]
+            fiber.append(tuple(w))
+            start = tuple([sum(map(mul, brow, w)) * scale % M for brow in Bi])
+            classes.append(orbit_verdict(grid.step, grid.orders, start))
     # len(points) * [Z^n : L] entries by construction, so this also checks
     # the covering degree
     if len(set(fiber)) != len(fiber):
-        raise ConsistencyError("fiber enumeration produced duplicate points", payload=fiber)
+        raise ConsistencyError(
+            "fiber enumeration produced duplicate points",
+            payload=[tuple([Fraction(a, q) for a in w]) for w in fiber],
+        )
     return fiber, classes
 
 
@@ -555,7 +605,8 @@ def cover_transfer(L_basis, f_up: TorusEndo, f_down: TorusEndo, q) -> CoverTrans
     H = cover_lattice(L_basis, f_down.linear)
     qs = [Fraction(x) % 1 for x in q]
     fiber, fiber_cls = classify_fiber(H, f_down, [qs])
-    base_cls = classify(f_down, qs)[0]
+    # the base point is the whole fiber of the trivial cover L = Z^n
+    _, (base_cls,) = classify_fiber(mat_identity(len(H)), f_down, [qs])
 
     # A induces a bijection of the finite group Z^n/L iff A Z^n + L = Z^n
     image = hnf_basis(mat_transpose(f_down.linear) + H)

@@ -7,8 +7,10 @@ totients by coprime counting, orbits by direct Fraction iteration, grid
 steps row by row, cycle detection by list search, orbit transcripts one
 state at a time, nil relative orders by stepping through multiples, nil
 orbits by Fraction BCH products,
-flat-manifold orbits by a Fraction min over holonomy images and report text
-by the standard library's JSON encoder.
+flat-manifold orbits by a Fraction min over holonomy images, cover fibers
+point by point through a full torus classify, periodic-point searches with
+the geometric sum rebuilt for every k, and report text by the standard
+library's JSON encoder.
 
 The Fraction and QuadExt structure decisions the library replaced with
 integer ones live on here: the sum of ker(M^d - I) over every root-of-unity
@@ -22,9 +24,20 @@ from math import gcd, lcm
 from operator import mul
 
 from nilorbit.errors import SearchBoundExceededError
-from nilorbit.exactmath import denominator_lcm, is_integral, mat_pow, mat_vec, snf
+from nilorbit.exactmath import (
+    coset_representatives,
+    denominator_lcm,
+    geometric_sum,
+    is_integral,
+    mat_identity,
+    mat_mul,
+    mat_pow,
+    mat_sub,
+    mat_vec,
+    snf,
+)
 from nilorbit.nilclass2 import MalcevElement, apply_endo, bch_pow
-from nilorbit.torus import TorusPoint
+from nilorbit.torus import TorusPoint, classify, lattice_coordinates
 
 
 def gaussian_det(M):
@@ -117,6 +130,47 @@ def reference_solve_mod_lattice(M, c):
         else:
             y.append(rhs[i] / s)
     return mat_vec(V, y)
+
+
+def reference_period_search(A, b, k_max):
+    """(k, x) for the least k <= k_max whose period-k equation
+    (A^k - I) x == -(I + A + ... + A^(k-1)) b (mod Z^n) is solvable, with x
+    from reference_solve_mod_lattice, or None; the geometric sum is rebuilt
+    from scratch by geometric_sum for every k."""
+    minus_identity = mat_sub(A, mat_identity(len(A)))
+    for k in range(1, k_max + 1):
+        G = geometric_sum(A, k)
+        x = reference_solve_mod_lattice(mat_mul(minus_identity, G),
+                                        [-v for v in mat_vec(G, list(b))])
+        if x is not None:
+            return k, x
+    return None
+
+
+def reduce_mod_lattice(basis, x):
+    """Representative of x modulo the lattice of a full-rank square HNF
+    `basis`, over Fraction: coordinate i lands in [0, basis[i][i])."""
+    w = list(x)
+    for i, row in enumerate(basis):
+        q = Fraction(w[i]) // row[i]
+        if q:
+            w = [a - q * b for a, b in zip(w, row)]
+    return w
+
+
+def reference_classify_fiber(rows, f, points):
+    """classify_fiber one fiber point at a time: p + z reduced modulo L by
+    reduce_mod_lattice, and a full torus classify of its lattice
+    coordinates B^-1 (p + z), on a grid of its own."""
+    f_up, Binv = lattice_coordinates(rows, f.linear, f.translation_fractions())
+    fiber = []
+    classes = []
+    for p in points:
+        for z in coset_representatives(rows):
+            x = [a + b for a, b in zip(p, z)]
+            fiber.append(tuple(reduce_mod_lattice(rows, x)))
+            classes.append(classify(f_up, mat_vec(Binv, x))[0])
+    return fiber, classes
 
 
 def reference_solve_integer(M, c):

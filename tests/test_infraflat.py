@@ -13,7 +13,14 @@ from nilorbit.infraflat import (
     validate_bieberbach,
     validate_endo,
 )
-from nilorbit.torus import TorusEndo, classify
+from nilorbit.torus import (
+    TorusEndo,
+    TorusGrid,
+    TorusPoint,
+    classify,
+    classify_fiber,
+    fiber_verdicts,
+)
 
 I2 = [[1, 0], [0, 1]]
 FLIP = [[1, 0], [0, -1]]
@@ -136,6 +143,48 @@ def test_power_cover_built_once_per_group(monkeypatch):
     # a new group builds (and checks) its own cover
     classify_infra(klein(), singular, [F(1, 5), F(1, 7)], cover="gamma_power")
     assert len(calls) == 2
+
+
+def test_rep_maps_built_once_per_group():
+    group = klein()
+    maps = group.rep_maps
+    assert [(f.linear, f.translation) for f in maps] == [(rep.F, rep.t) for rep in group.reps]
+    classify_infra(group, klein_endo(group), [F(1, 5), F(1, 7)])
+    assert group.rep_maps is maps
+
+
+def test_fiber_starts_are_the_holonomy_images(monkeypatch):
+    from nilorbit import infraflat
+
+    starts = []
+
+    def spy(rows, f, numerators, q):
+        starts.append({tuple(F(v, q) % 1 for v in w) for w in numerators})
+        return fiber_verdicts(rows, f, numerators, q)
+
+    monkeypatch.setattr(infraflat, "fiber_verdicts", spy)
+    group = klein()
+    singular = validate_endo(group, [[3, 0], [0, 0]], [0, 0])
+    for x in ([F(1, 5), F(1, 7)], [F(1, 3), F(0)], [F(7, 6), F(-1, 4)]):
+        for f in (klein_endo(group), singular):
+            classify_infra(group, f, x)
+            assert starts.pop() == {tuple(F(v) % 1 for v in rep.apply(x)) for rep in group.reps}
+
+
+def test_fiber_and_flat_walks_build_no_transcript(monkeypatch):
+    # verdicts only: no TorusPoint and no Fraction for any orbit state
+    def refuse(*args):
+        raise AssertionError("an orbit transcript was built")
+
+    monkeypatch.setattr(TorusGrid, "transcript", refuse)
+    monkeypatch.setattr(TorusPoint, "_canonical_points", classmethod(refuse))
+    group = klein()
+    endo = klein_endo(group)
+    singular = validate_endo(group, [[3, 0], [0, 0]], [0, 0])
+    for x in ([F(1, 5), F(1, 7)], [F(1, 3), F(0)], [F(7, 6), F(-1, 4)]):
+        for f, cover in ((endo, "fitting"), (endo, "gamma_power"), (singular, "auto")):
+            classify_infra(group, f, x, cover=cover)
+        classify_fiber([[1, 1], [0, 2]], TorusEndo([[0, 1], [1, 0]], [F(1, 2), F(1, 2)]), [x])
 
 
 def test_determinant_computed_once_per_endo(monkeypatch):

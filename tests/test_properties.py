@@ -1,5 +1,6 @@
 """Property tests: the torus, nil and flat-manifold classifiers against
-direct Fraction oracles, the grid step, the cycle detection and the orbit
+direct Fraction oracles, cover fibers against their point-by-point
+classification, the grid step, the cycle detection and the orbit
 transcripts against row-by-row, list-search and one-state-at-a-time
 oracles, the integer elimination against Fraction Gauss-Jordan, and the
 report renderer against the standard library's encoder."""
@@ -15,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nilorbit.errors import InvalidFixtureError  # noqa: E402
+from nilorbit.errors import ConsistencyError, InvalidFixtureError  # noqa: E402
 from nilorbit.exactmath import (  # noqa: E402
     SubspaceQ,
     denominator_lcm,
@@ -46,7 +47,16 @@ from nilorbit.nilclass2 import (  # noqa: E402
 )
 from nilorbit.orbits import iterate_orbit, sweep_orbits  # noqa: E402
 from nilorbit.scan import density_report, render_report, scan_report  # noqa: E402
-from nilorbit.torus import TorusEndo, TorusGrid, TorusPoint, _step_factory, classify  # noqa: E402
+from nilorbit.torus import (  # noqa: E402
+    TorusEndo,
+    TorusGrid,
+    TorusPoint,
+    _step_factory,
+    classify,
+    classify_fiber,
+    cover_lattice,
+    cover_transfer,
+)
 from oracles import (  # noqa: E402
     brute_orbit,
     flat_reference_walk,
@@ -57,6 +67,7 @@ from oracles import (  # noqa: E402
     nil_reference_transcript,
     nil_reference_walk,
     nil_relative_order_search,
+    reference_classify_fiber,
     reference_rref,
     reference_torus_step,
     reference_transcript,
@@ -99,6 +110,57 @@ def test_classify_matches_oracle(case):
         assert p == TorusPoint(p.coords)
         assert hash(p) == hash(TorusPoint(p.coords))
         assert all(type(x) is Fraction and 0 <= x < 1 for x in p.coords)
+
+
+@st.composite
+def fiber_cases(draw):
+    """(rows, f, points): a full-rank HNF lattice L in dimension 1-3, an
+    integer map f whose linear part preserves L, singular maps included,
+    with a rational translation, and one to three base points distinct
+    modulo Z^n.
+
+    L is drawn as HNF rows H with any entries above the diagonal, so it is
+    mostly not diagonal.  With B = H^T, the linear part is B C B^-1 for an
+    integer C when that is integral, and c I + B C adj(B) otherwise; both
+    map L into itself."""
+    n = draw(st.integers(1, 3))
+    diag = [draw(st.integers(1, 3 if n < 3 else 2)) for _ in range(n)]
+    H = [[diag[i] if j == i else draw(st.integers(0, diag[j] - 1)) if j > i else 0
+          for j in range(n)] for i in range(n)]
+    C = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    B = [list(col) for col in zip(*H)]
+    Binv = invert_rational(B)
+    A = mat_mul(mat_mul(B, C), Binv)
+    if any(x.denominator != 1 for row in A for x in row):
+        c = draw(st.integers(-2, 2))
+        adj = [[x * det(B) for x in row] for row in Binv]
+        A = [[x + c * (i == j) for j, x in enumerate(row)]
+             for i, row in enumerate(mat_mul(mat_mul(B, C), adj))]
+    A = [[int(x) for x in row] for row in A]
+    rows = cover_lattice(H, A)
+    b = draw(st.lists(rationals(4), min_size=n, max_size=n))
+    points = draw(st.lists(st.lists(rationals(4), min_size=n, max_size=n), min_size=1,
+                           max_size=3, unique_by=lambda p: tuple(x % 1 for x in p)))
+    return rows, TorusEndo(A, b), points
+
+
+@settings(max_examples=300, derandomize=True)
+@given(fiber_cases())
+def test_classify_fiber_matches_reference(case):
+    rows, f, points = case
+    fiber, classes = classify_fiber(rows, f, points)
+    # equal Classifications: preperiods, periods and relative order traces
+    assert (fiber, classes) == reference_classify_fiber(rows, f, points)
+    assert all(type(x) is Fraction for p in fiber for x in p)
+    report = cover_transfer(rows, f, f, points[0])
+    base = [[x % 1 for x in points[0]]]
+    assert (list(report.fiber), list(report.fiber_classifications)) == \
+        reference_classify_fiber(rows, f, base)
+    # the same base point twice, once shifted by Z^n, repeats its fiber
+    again = [points[0][0] + 1, *points[0][1:]]
+    with pytest.raises(ConsistencyError, match="duplicate"):
+        classify_fiber(rows, f, [points[0], again])
 
 
 @st.composite

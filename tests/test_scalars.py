@@ -1,10 +1,13 @@
+import inspect
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from nilorbit.errors import MixedFieldError
-from nilorbit.exactmath import QuadExt, is_integral, parse_scalar, quad_parts
+from nilorbit.exactmath import QuadExt, is_integral, parse_scalar, quad_parts, scalars
+from nilorbit.torus import relative_order
 
 
 def test_construction_rejects_non_square_free():
@@ -91,3 +94,21 @@ def test_powers():
     assert (1 + r2) ** 2 == 3 + 2 * r2
     assert (1 + r2) ** 0 == 1
     assert (1 + r2) ** -1 == -1 + r2  # (1+s)(-1+s) = 1
+
+
+def test_denominator_lcm_leaves_no_block_behind():
+    # lcm(*generator) left one tuple per call in CPython's tuple free list,
+    # up to 2000 of each size, all still allocated at the lcm line
+    lines, first = inspect.getsourcelines(scalars.denominator_lcm)
+    line = first + next(i for i, text in enumerate(lines) if "return lcm(" in text)
+    q = (F(1, 3), F(2, 5), F(3, 7))
+    for _ in range(10):
+        relative_order(q)
+    tracemalloc.start()
+    try:
+        for _ in range(3000):
+            assert relative_order(q) == 105
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert not snapshot.filter_traces([tracemalloc.Filter(True, scalars.__file__, line)]).traces

@@ -1,33 +1,50 @@
 """Integer structure decisions against their Fraction oracles: eventually
-fixed directions, Smith-form solves, subspace membership and equalizers,
-plus property tests of the Smith and Hermite forms they rest on, and the
+fixed directions, Smith-form solves, subspace membership, equalizers and
+the periodic-point searches over k, plus property tests of the Smith and Hermite forms they rest on, and the
 length checks of the membership tests."""
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import nilorbit.exactmath.linalg  # noqa: E402
+import nilorbit.torus  # noqa: E402
+from nilorbit.errors import SearchBoundExceededError  # noqa: E402
 from nilorbit.exactmath import (  # noqa: E402
     QuadExt,
     SubspaceQ,
     eventually_fixed_subspace,
     hnf,
+    invert_rational,
     mat_mul,
     mat_vec,
+    root_of_unity_orders,
     row_span_contains,
     snf,
     solve_integer,
     solve_mod_lattice,
 )
-from nilorbit.torus import equalizer_membership, has_unity_eigenvalue  # noqa: E402
+from nilorbit.torus import (  # noqa: E402
+    TorusEndo,
+    TorusPoint,
+    equalizer_membership,
+    eventually_periodic_set,
+    has_periodic_point,
+    has_unity_eigenvalue,
+    relative_order,
+)
 from oracles import (  # noqa: E402
     free_column_kernel,
     gaussian_det,
+    random_unimodular_matrix,
     reference_back_substitute,
     reference_eventually_fixed_subspace,
+    reference_period_search,
     reference_rref,
     reference_solve_integer,
     reference_solve_mod_lattice,
@@ -356,3 +373,94 @@ def test_hnf_properties(M):
     assert mat_mul(U, M) == H
     assert abs(gaussian_det(U)) == 1
     assert hnf(H)[0] == H
+
+
+# --- periodic-point searches over k ---------------------------------------------
+
+UNITY_BLOCKS = ([[1]], [[-1]], [[1, 1], [0, 1]], [[0, -1], [1, 0]], [[0, -1], [1, -1]])
+OTHER_BLOCKS = ([[0]], [[1]], [[2]], [[-2]], [[3]])
+
+
+@st.composite
+def search_maps(draw):
+    """An integer map of dimension 1-3: mostly a root-of-unity block next to
+    another block, conjugated by a seeded unimodular matrix, so that the
+    search over k runs; otherwise a random matrix."""
+    if draw(st.booleans()):
+        R = draw(st.sampled_from(UNITY_BLOCKS))
+        blocks = [R] + ([draw(st.sampled_from(OTHER_BLOCKS))] if len(R) < 3 else [])
+        n = sum(map(len, blocks))
+        A = [[0] * n for _ in range(n)]
+        off = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                A[off + i][off:off + len(row)] = row
+            off += len(block)
+        U = random_unimodular_matrix(random.Random(draw(st.integers(0, 999))), n)
+        Uinv = [[int(x) for x in row] for row in invert_rational(U)]
+        return mat_mul(mat_mul(U, A), Uinv)
+    n = draw(st.integers(1, 3))
+    return draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+
+
+def small_fractions(max_den):
+    return st.builds(Fraction, st.integers(-max_den, max_den), st.integers(1, max_den))
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_maps(), st.data())
+def test_has_periodic_point_matches_per_k_oracle(A, data):
+    n = len(A)
+    b = data.draw(st.lists(small_fractions(6), min_size=n, max_size=n))
+    if data.draw(st.booleans()):  # a sqrt-part in Q(sqrt 2)
+        b = [QuadExt(x, data.draw(small_fractions(3)), 2) for x in b]
+    k_max = data.draw(st.integers(1, 12))
+    f = TorusEndo(A, b)
+    out = has_periodic_point(f, k_max)
+    if f.is_pure_translation or not has_unity_eigenvalue(A):
+        return  # answered exactly, without a search over k
+    expected = reference_period_search(A, f.translation, k_max)
+    if expected is None:
+        assert (out.status, out.bound) == ("unknown", k_max)
+    else:
+        assert (out.status, out.k) == ("yes", expected[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_maps(), st.data())
+def test_eventually_periodic_set_matches_per_k_oracle(A, data):
+    n = len(A)
+    b = data.draw(st.lists(small_fractions(4), min_size=n, max_size=n))
+    k_bound = data.draw(st.none() | st.integers(1, 12))
+    f = TorusEndo(A, b)
+    bound = max(1, lcm(*root_of_unity_orders(n)) * relative_order(b)) if k_bound is None \
+        else k_bound
+    expected = reference_period_search(A, f.translation, bound)
+    if expected is None:
+        with pytest.raises(SearchBoundExceededError):
+            eventually_periodic_set(f, k_bound)
+    else:
+        assert eventually_periodic_set(f, k_bound).base_point == TorusPoint(tuple(expected[1]))
+
+
+def test_period_search_makes_one_product_per_k(monkeypatch):
+    # A has the eigenvalue 1 twice in a Jordan block, and no sqrt(2)-part
+    # is ever absorbed: the search runs to its bound
+    A = [[1, 1, 0], [0, 1, 0], [0, 0, 2]]
+    f = TorusEndo(A, [Fraction(0), QuadExt.sqrt(2), Fraction(1, 3)])
+    products = []
+
+    def counted(module):
+        original = module.mat_mul
+
+        def mat_mul(X, Y):
+            products.append(1)
+            return original(X, Y)
+        monkeypatch.setattr(module, "mat_mul", mat_mul)
+
+    counted(nilorbit.torus)
+    counted(nilorbit.exactmath.linalg)
+    assert str(has_periodic_point(f)) == "UnknownUpTo(64)"
+    # 64 for the search, the rest for the root-of-unity eigenvalue test
+    assert 64 <= len(products) <= 80

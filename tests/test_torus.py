@@ -17,7 +17,6 @@ from nilorbit.exactmath import (
     coset_representatives,
     mat_pow,
     mat_vec,
-    reduce_mod_lattice,
 )
 from nilorbit.orbits import sweep_orbits
 from nilorbit.torus import (
@@ -27,6 +26,7 @@ from nilorbit.torus import (
     TorusPoint,
     TranslationVerdict,
     classify,
+    classify_fiber,
     conjugate_to_linear,
     constant_order_on_cycle,
     cover_lattice,
@@ -44,7 +44,7 @@ from nilorbit.torus import (
     translation_periodicity,
     unity_subspace,
 )
-from oracles import brute_orbit, random_invertible_matrix
+from oracles import brute_orbit, random_invertible_matrix, reduce_mod_lattice
 
 A1 = [[3, 1], [1, 1]]
 R2 = QuadExt.sqrt(2)
@@ -451,6 +451,15 @@ def test_cover_transfer_injectivity_matches_enumeration():
         f = TorusEndo(A)
         assert cover_transfer(L, f, f, [F(0)] * n).induced_map_injective == expected, (A, L)
         checked += 1
+
+
+def test_fiber_over_a_point_of_the_wrong_length_raises():
+    f = TorusEndo([[0, 1], [1, 0]], [F(1, 2), F(0)])
+    for q in ([F(1, 3)], [F(1, 3), F(0), F(1, 2)]):
+        with pytest.raises(ValueError, match="wrong length"):
+            classify_fiber([[1, 1], [0, 2]], f, [[F(1, 5), F(2, 5)], q])
+        with pytest.raises(ValueError, match="wrong length"):
+            cover_transfer([[1, 1], [0, 2]], f, f, q)
 
 
 def test_lattice_coordinates_cached_and_immutable():
