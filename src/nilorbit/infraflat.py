@@ -32,7 +32,7 @@ from .exactmath import (
     row_span_contains,
     solve_integer,
 )
-from .orbits import Classification, orbit_verdict
+from .orbits import Classification, iterate_orbit, orbit_verdict
 from .torus import TorusEndo, TorusGrid, fiber_verdicts, relative_order
 
 
@@ -281,6 +281,11 @@ class FlatPoints(TorusGrid):
 
         self.canonical, self.step = canonical, step
 
+    def walk(self, start):
+        """iterate_orbit over the canonical step, its path as columns."""
+        mu, lam, path = iterate_orbit(self.step, start)
+        return mu, lam, list(zip(*path))
+
 
 def classify_infra(
     group: BieberbachGroup, endo: InfraEndo, x, cover: str = "auto"
@@ -314,7 +319,7 @@ def classify_infra(
             *(rep.translation_order for rep in group.rep_maps))
     flat = FlatPoints(group, lift, m)
     a = tuple(int(v * m) % m for v in xs)
-    base = orbit_verdict(flat.step, flat.orders, flat.canonical(a))
+    base = orbit_verdict(flat.walk, flat.orders, flat.canonical(a))
     # the fiber over the group orbit of x starts at the images rep.apply(x),
     # on numerators over m; a shift by Z^n leaves the fiber as a set
     _, fiber_cls = fiber_verdicts(rows, lift, [image(a) for image in flat.images], m)

@@ -36,7 +36,7 @@ from .exactmath import (
     rational_row_hnf,
     vec_is_zero,
 )
-from .orbits import Classification, OrbitResult, classify_orbit
+from .orbits import Classification, OrbitResult, classify_orbit, iterate_orbit
 
 
 @dataclass(frozen=True)
@@ -693,6 +693,9 @@ class NilCosets:
         return MalcevElement(
             self.group, [Fraction(sum(map(operator.mul, col, y)), den) for col in columns]
         )
+
+    def walk(self, start):
+        return iterate_orbit(self.step, start)
 
     def transcript(self, path):
         return tuple(map(self.order, path)), tuple(map(self.decode, path))

@@ -32,22 +32,26 @@ def iterate_orbit(step: Callable[[State], State], start: State):
 def classify_orbit(system, start):
     """Classify the orbit of the state `start` under a finite system.
 
-    `system.step(state)` is the map on states, and `system.transcript(path)`
-    returns the relative orders of the points the states of a path stand for
-    and those points, as two tuples.  Returns (Classification, OrbitResult).
+    `system.walk(start)` returns (preperiod, period, path): the path lists
+    the preperiod tail, then one full cycle, in whatever form the system's
+    `transcript` reads (a list of states for iterate_orbit, one column of
+    coordinates per dimension for a torus grid).  `system.transcript(path)`
+    returns the relative orders of the points the path stands for and
+    those points, as two tuples.  Returns (Classification, OrbitResult).
     """
-    mu, lam, path = iterate_orbit(system.step, start)
+    mu, lam, path = system.walk(start)
     trace, points = system.transcript(path)
     return Classification(mu, lam, trace), OrbitResult(mu, lam, points[:mu], points[mu:])
 
 
-def orbit_verdict(step: Callable[[State], State], orders, start) -> Classification:
+def orbit_verdict(walk, orders, start) -> Classification:
     """Classify the orbit of the state `start` without building its points.
 
-    `orders(path)` returns the relative orders of the points the states of a
-    path stand for, as a tuple; that tuple is the whole transcript kept.
+    `walk(start)` returns (preperiod, period, path) as for classify_orbit,
+    and `orders(path)` the relative orders of the points the path stands
+    for, as a tuple; that tuple is the whole transcript kept.
     """
-    mu, lam, path = iterate_orbit(step, start)
+    mu, lam, path = walk(start)
     return Classification(mu, lam, orders(path))
 
 

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import islice, repeat, starmap
+from itertools import islice, repeat
 from math import gcd, prod
 from operator import floordiv, mul
 
@@ -178,16 +178,25 @@ def step(f: TorusEndo, x: TorusPoint) -> TorusPoint:
     return TorusPoint(tuple(m + b for m, b in zip(moved, f.translation)))
 
 
-class _FractionMemo(dict):
-    """Fraction(a, m) by numerator a, built on first use."""
+def _grid_source(n: int):
+    """The parameters, the coordinate names and the affine rows mod m of the
+    grid map in dimension n, as source text shared by the step and the walk."""
+    params = ", ".join(
+        ["m", *(f"a{i}_{j}" for i in range(n) for j in range(n)), *(f"c{i}" for i in range(n))]
+    )
+    coords = "".join(f"x{j}, " for j in range(n))
+    rows = "".join(
+        "(" + " + ".join([*(f"a{i}_{j}*x{j}" for j in range(n)), f"c{i}"]) + ") % m, "
+        for i in range(n)
+    )
+    return params, coords, rows
 
-    def __init__(self, m: int):
-        super().__init__()
-        self.m = m
 
-    def __missing__(self, a):
-        value = self[a] = Fraction(a, self.m)
-        return value
+def _compile_make(source: str, name: str):
+    # runtime warnings of the generated code name this module
+    namespace: dict = {"__name__": __name__}
+    exec(compile(source, name, "exec"), namespace)
+    return namespace["make"]
 
 
 @lru_cache(maxsize=None)
@@ -199,52 +208,126 @@ def _step_factory(n: int):
     the entries, the translation numerators and m are arguments, so one
     compiled factory serves every map and grid of that dimension.
     """
-    params = [f"a{i}_{j}" for i in range(n) for j in range(n)] + [f"c{i}" for i in range(n)]
-    unpack = "".join(f"x{j}, " for j in range(n))
-    rows = "".join(
-        "(" + " + ".join([*(f"a{i}_{j}*x{j}" for j in range(n)), f"c{i}"]) + ") % m, "
-        for i in range(n)
-    )
-    source = (
-        f"def make({', '.join(['m', *params])}):\n"
+    params, coords, rows = _grid_source(n)
+    return _compile_make(
+        f"def make({params}):\n"
         "    def step(state):\n"
-        f"        ({unpack}) = state\n"
+        f"        ({coords}) = state\n"
         f"        return ({rows})\n"
-        "    return step\n"
+        "    return step\n",
+        f"<nilorbit step n={n}>",
     )
-    namespace: dict = {}
-    exec(compile(source, f"<nilorbit step n={n}>", "exec"), namespace)
-    return namespace["make"]
+
+
+# The two orbit walks of _walk_factory.  {push} appends every coordinate to
+# its column, and ({coords}) = ({rows}) is one step of the grid map.
+_WALK_SOURCE = """\
+def make(bijective, {params}):
+    def first_return(start):
+        ({coords}) = ({starts}) = start
+        if not ({in_grid}):
+            raise ValueError("state outside the grid")
+        {columns} = {empty}
+        {pushes} = {appends}
+        while True:
+            {push}
+            ({coords}) = ({rows})
+            if not ({moved}):
+                return 0, len(col0), [{columns}]
+
+    def first_repeat(start):
+        ({coords}) = start
+        if not ({in_grid}):
+            raise ValueError("state outside the grid")
+        {columns} = {empty}
+        {pushes} = {appends}
+        index = {{}}
+        key = {key}
+        while key not in index:
+            index[key] = len(index)
+            {push}
+            ({coords}) = ({rows})
+            key = {key}
+        mu = index[key]
+        return mu, len(col0) - mu, [{columns}]
+
+    return first_return if bijective else first_repeat
+"""
+
+
+@lru_cache(maxsize=None)
+def _walk_factory(n: int):
+    """make(bijective, m, a0_0, ..., c_{n-1}) -> walk, for dimension n.
+
+    walk(start) returns (preperiod, period, columns): the orbit of the state
+    start, its preperiod tail then one cycle, as one list of numerators per
+    coordinate.  The coordinates stay locals and are stepped inline, with
+    no call per step.  On a bijective grid the map is a permutation, so the
+    orbit is one cycle through start: the walk stops at the first return,
+    with no visited set.  Otherwise a dict keyed by the state packed into
+    one int in base m finds the first repeat.  A start of the wrong length
+    or outside [0, m)^n raises ValueError.
+    """
+    params, coords, rows = _grid_source(n)
+    key = "x0"
+    for j in range(1, n):
+        key = f"({key}) * m + x{j}"
+
+    def each(pattern, sep=""):
+        return sep.join(pattern.format(j) for j in range(n))
+
+    source = _WALK_SOURCE.format(
+        params=params, coords=coords, rows=rows, key=key, empty="[], " * n,
+        starts=each("s{}, "), columns=each("col{}, "), pushes=each("push{}, "),
+        appends=each("col{}.append, "), push=each("push{0}(x{0})", "; "),
+        in_grid=each("0 <= x{} < m", " and "), moved=each("x{0} != s{0}", " or "),
+    )
+    return _compile_make(source, f"<nilorbit walk n={n}>")
 
 
 class TorusGrid:
     """The map on numerators of the grid (1/m)Z^n: x -> (A x + m b) mod m.
 
     m must be a multiple of the relative order of the translation.  The step
-    is a closure from _step_factory: the walk calls it once per state, and a
-    state of the wrong length raises ValueError.
+    is a closure from _step_factory, and a state of the wrong length raises
+    ValueError.  The walk is built from _walk_factory on first use, so a
+    grid that only steps never builds it.  A path is handed on as one
+    column of numerators per coordinate.
     """
 
     def __init__(self, f: TorusEndo, m: int):
         self.m = m
+        self._f = f
         numerators = [int(x * m) % m for x in f.translation_fractions()]
-        self.step = _step_factory(f.dim)(m, *(a for row in f.linear for a in row), *numerators)
-        self._fractions = _FractionMemo(m)
+        self._coefficients = (m, *(a for row in f.linear for a in row), *numerators)
+        self.step = _step_factory(f.dim)(*self._coefficients)
+
+    @cached_property
+    def walk(self):
+        """walk(start) -> (preperiod, period, columns) of the orbit of start.
+
+        x -> A x + c mod m is a permutation of (Z/m)^n iff gcd(det A, m) = 1,
+        and then the walk runs to the first return (see _walk_factory)."""
+        f = self._f
+        return _walk_factory(f.dim)(gcd(f.determinant, self.m) == 1, *self._coefficients)
 
     def order(self, state) -> int:
         """Relative order of the grid point state/m."""
         return self.m // gcd(self.m, *state)
 
-    def orders(self, path) -> tuple[int, ...]:
-        """Relative orders of the grid points of the states on a path."""
+    def orders(self, columns) -> tuple[int, ...]:
+        """Relative orders of the grid points of a path given as columns."""
         m = self.m
-        return tuple(map(floordiv, repeat(m), starmap(gcd, map((m,).__add__, path))))
+        return tuple(map(floordiv, repeat(m), map(gcd, repeat(m), *columns)))
 
-    def transcript(self, path):
-        """(relative orders, points) of the states on a path, a column at a time."""
+    def transcript(self, columns):
+        """(relative orders, points) of a path given as columns."""
+        m = self.m
         # numerators are reduced mod m, so every a/m is already in [0, 1)
-        columns = [tuple(map(self._fractions.__getitem__, column)) for column in zip(*path)]
-        return self.orders(path), TorusPoint._canonical_points(zip(*columns))
+        numerators = set().union(*columns)
+        table = dict(zip(numerators, map(Fraction, numerators, repeat(m))))
+        points = zip(*[map(table.__getitem__, column) for column in columns])
+        return self.orders(columns), TorusPoint._canonical_points(points)
 
 
 def classify(f: TorusEndo, q) -> tuple[Classification, OrbitResult]:
@@ -523,6 +606,17 @@ def cover_lattice(L_basis, A) -> list[list[int]]:
     return H
 
 
+@lru_cache(maxsize=256)
+def _cover(L_basis, A):
+    """(HNF rows of L, as a tuple of tuples; whether A induces a bijection
+    of Z^n/L) for frozen L_basis and A, see cover_lattice."""
+    # lru_cache stores no exception, so a LatticeError is raised on every call
+    H = cover_lattice(L_basis, A)
+    # A induces a bijection of the finite group Z^n/L iff A Z^n + L = Z^n
+    image = hnf_basis(mat_transpose(A) + H)
+    return freeze_matrix(H), prod(image[i][i] for i in range(len(H))) == 1
+
+
 def classify_fiber(rows, f: TorusEndo, points):
     """Every point of R^n/L over the given points of R^n/Z^n, classified
     under f acting on R^n/L.
@@ -571,7 +665,7 @@ def fiber_verdicts(rows, f: TorusEndo, numerators, q: int):
                     w = [x - t * y for x, y in zip(w, row)]
             fiber.append(tuple(w))
             start = tuple([sum(map(mul, brow, w)) * scale % M for brow in Bi])
-            classes.append(orbit_verdict(grid.step, grid.orders, start))
+            classes.append(orbit_verdict(grid.walk, grid.orders, start))
     # len(points) * [Z^n : L] entries by construction, so this also checks
     # the covering degree
     if len(set(fiber)) != len(fiber):
@@ -602,15 +696,11 @@ def cover_transfer(L_basis, f_up: TorusEndo, f_down: TorusEndo, q) -> CoverTrans
     """
     if f_up.linear != f_down.linear or f_up.translation != f_down.translation:
         raise LatticeError("lift mismatch: up- and downstairs maps must agree")
-    H = cover_lattice(L_basis, f_down.linear)
+    H, injective = _cover(freeze_matrix(L_basis), f_down.linear)
     qs = [Fraction(x) % 1 for x in q]
     fiber, fiber_cls = classify_fiber(H, f_down, [qs])
     # the base point is the whole fiber of the trivial cover L = Z^n
     _, (base_cls,) = classify_fiber(mat_identity(len(H)), f_down, [qs])
-
-    # A induces a bijection of the finite group Z^n/L iff A Z^n + L = Z^n
-    image = hnf_basis(mat_transpose(f_down.linear) + H)
-    injective = prod(image[i][i] for i in range(len(H))) == 1
 
     per_projection = any(c.periodic for c in fiber_cls) == base_cls.periodic
     inj_fiber = None

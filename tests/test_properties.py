@@ -9,6 +9,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,7 @@ from nilorbit.torus import (  # noqa: E402
     TorusGrid,
     TorusPoint,
     _step_factory,
+    _walk_factory,
     classify,
     classify_fiber,
     cover_lattice,
@@ -163,6 +165,20 @@ def test_classify_fiber_matches_reference(case):
         classify_fiber(rows, f, [points[0], again])
 
 
+@settings(max_examples=100, derandomize=True)
+@given(fiber_cases())
+def test_cover_transfer_repeats_on_one_cover(case):
+    # the second call on a cover reads the cached lattice and injectivity
+    rows, f, points = case
+    for q in (points[0], *points, points[0]):
+        report = cover_transfer(rows, f, f, q)
+        base = [[x % 1 for x in q]]
+        assert (list(report.fiber), list(report.fiber_classifications)) == \
+            reference_classify_fiber(rows, f, base)
+        assert report.base_classification == \
+            reference_classify_fiber(mat_identity(len(rows)), f, base)[1][0]
+
+
 @st.composite
 def grid_maps_and_states(draw):
     """An integer map of dimension 1-6 with entries in [-9, 9], zero rows
@@ -194,6 +210,79 @@ def test_torus_grid_step_matches_reference(case):
             step(state[:-1])
 
 
+@st.composite
+def walk_cases(draw):
+    """(A, b, m, start): an integer map of dimension 1-4 with determinant 0,
+    +-1 or another value, a translation with denominator dividing m, a
+    modulus m coprime to the determinant or sharing a factor with it, and a
+    start in the grid.  m is small for large n, so that the quadratic
+    oracle stays fast on orbits of up to m^n states."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-4, 4)
+    kind = draw(st.sampled_from(["singular", "unimodular", "any"]))
+    if kind == "unimodular":
+        # upper unitriangular times lower triangular with +-1 on the diagonal
+        sign = st.sampled_from([-1, 1])
+        U = [[1 if i == j else draw(entry) if j > i else 0 for j in range(n)] for i in range(n)]
+        L = [[draw(sign) if i == j else draw(entry) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+        A = mat_mul(U, L)
+    else:
+        A = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        if kind == "singular":
+            A[draw(st.integers(0, n - 1))] = [0] * n
+    D = det(A)
+    moduli = range(1, (60, 24, 8, 5)[n - 1] + 1)
+    coprime = draw(st.booleans())
+    m = draw(st.sampled_from([m for m in moduli if (gcd(D, m) == 1) == coprime] or moduli))
+    den = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    b = draw(st.lists(st.integers(-2 * den, 2 * den).map(lambda a: Fraction(a, den)),
+                      min_size=n, max_size=n))
+    start = draw(st.tuples(*[st.integers(0, m - 1)] * n))
+    return A, b, m, start
+
+
+@settings(max_examples=300, derandomize=True)
+@given(walk_cases())
+def test_torus_walk_matches_naive_orbit(case):
+    A, b, m, start = case
+    grid = TorusGrid(TorusEndo(A, b), m)
+    mu, lam, path = naive_orbit(reference_torus_step(A, b, m), start)
+    assert grid.walk(start) == (mu, lam, [list(column) for column in zip(*path)])
+    # a start of the wrong length or off the grid is an error, not a hang
+    for bad in (start + (0,), start[:-1], (start[0] + m, *start[1:])):
+        with pytest.raises(ValueError):
+            grid.walk(bad)
+
+
+def test_torus_walk_pinned_cases():
+    cat = TorusEndo([[2, 1], [1, 1]])
+    m = 1009 * 1013
+    assert TorusGrid(cat, m).walk.__name__ == "first_return"
+    assert classify(cat, [Fraction(1, 1009), Fraction(2, 1013)])[0].verdict == \
+        "Periodic(period=21294)"
+    det2 = TorusEndo([[3, 1], [1, 1]])
+    assert TorusGrid(det2, 166).walk.__name__ == "first_repeat"
+    assert classify(det2, [Fraction(1, 166), Fraction(3, 166)])[0].preperiod >= 1
+    singular = [[1, 2], [2, 4]]
+    grid = TorusGrid(TorusEndo(singular, [Fraction(1, 3), 0]), 12)
+    assert grid.walk.__name__ == "first_repeat"
+    mu, lam, path = naive_orbit(reference_torus_step(singular, [Fraction(1, 3), 0], 12), (1, 5))
+    assert mu >= 1
+    assert grid.walk((1, 5)) == (mu, lam, [list(column) for column in zip(*path)])
+
+
+def test_walk_is_built_on_first_use():
+    _walk_factory.cache_clear()
+    grids = [TorusGrid(TorusEndo([[2, 1], [1, 1]]), m) for m in (5, 6)]
+    for grid in grids:
+        grid.step((1, 2))
+    assert _walk_factory.cache_info().misses == 0
+    assert [grid.walk((1, 2))[:2] for grid in grids] == [(0, 2), (0, 12)]
+    info = _walk_factory.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
 class _LongOrbit(Exception):
     pass
 
@@ -223,7 +312,7 @@ def test_torus_transcript_matches_reference(case):
     if orbit is not None:
         paths.append(orbit)
     for path in paths:
-        trace, points = grid.transcript(path)
+        trace, points = grid.transcript(list(zip(*path)))
         ref_trace, ref_points = reference_transcript(m, path)
         assert trace == ref_trace
         assert points == ref_points

@@ -419,6 +419,15 @@ def test_cover_transfer_lift_mismatch():
         cover_transfer([[0]], TorusEndo([[2]]), TorusEndo([[2]]), [F(0)])
 
 
+def test_cover_transfer_raises_on_every_call():
+    # the per-cover cache keeps no exception
+    f = TorusEndo([[1, 1], [0, 1]])
+    for L in ([[2, 0], [0, 0]], [[2, 0], [0, 1]]):
+        for _ in range(2):
+            with pytest.raises(LatticeError):
+                cover_transfer(L, f, f, [F(0), F(0)])
+
+
 def test_cover_transfer_injective_case():
     f = TorusEndo([[2, 1], [1, 1]])  # determinant 1
     report = cover_transfer([[2, 0], [0, 2]], f, f, [F(1, 3), F(1, 3)])

@@ -23,7 +23,7 @@ def _transcript_points():
     (1/2, 0), built by TorusGrid.transcript."""
     grid = TorusGrid(TorusEndo([[2, 1], [1, 1]], [Fraction(1, 2), 0]), 14)
     _, _, path = iterate_orbit(grid.step, (2, 6))
-    return grid.transcript(path)[1]
+    return grid.transcript(list(zip(*path)))[1]
 
 
 def test_pickle_and_deepcopy_round_trip():
