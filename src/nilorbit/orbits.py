@@ -1,12 +1,16 @@
 """Cycle detection on finite orbit spaces and the classification records.
 
 Every dynamical state space in this library is finite once a starting point
-is fixed (denominators cannot grow), so a hash map from state to step index
-gives exact preperiods and periods.
+is fixed (denominators cannot grow), so a walk to the first repeated state
+gives exact preperiods and periods.  iterate_orbit and sweep_orbits find
+the repeat with a map from state to step index; a system may bring its own
+walk (a torus grid on which the map is a bijection runs to the first return
+to its start, with no map at all).
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, Iterable, TypeVar
 
@@ -38,9 +42,19 @@ def classify_orbit(system, start):
     coordinates per dimension for a torus grid).  `system.transcript(path)`
     returns the relative orders of the points the path stands for and
     those points, as two tuples.  Returns (Classification, OrbitResult).
+
+    Cyclic GC is paused while the transcript is built: it holds only
+    acyclic objects (ints, Fractions, tuples and points), so a collection
+    in the middle of it could free nothing and would only rescan it.
     """
     mu, lam, path = system.walk(start)
-    trace, points = system.transcript(path)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        trace, points = system.transcript(path)
+    finally:
+        if enabled:
+            gc.enable()
     return Classification(mu, lam, trace), OrbitResult(mu, lam, points[:mu], points[mu:])
 
 

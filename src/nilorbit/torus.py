@@ -74,10 +74,12 @@ class TorusPoint:
     @classmethod
     def _canonical_points(cls, coords) -> tuple[TorusPoint, ...]:
         """Points from coordinate tuples already in [0, 1), without
-        re-normalising: bare instances, then one pass that sets coords."""
+        re-normalising: bare instances, then one pass that sets coords
+        through the slot's descriptor (which the frozen __setattr__ does
+        not guard)."""
         coords = tuple(coords)
         points = tuple(map(object.__new__, repeat(cls, len(coords))))
-        deque(map(object.__setattr__, points, repeat("coords"), coords), maxlen=0)
+        deque(map(cls.coords.__set__, points, coords), maxlen=0)
         return points
 
     @property
@@ -324,18 +326,34 @@ class TorusGrid:
         """(relative orders, points) of a path given as columns."""
         m = self.m
         # numerators are reduced mod m, so every a/m is already in [0, 1)
-        numerators = set().union(*columns)
-        table = dict(zip(numerators, map(Fraction, numerators, repeat(m))))
+        numerators = list(set().union(*columns))
+        table = dict(zip(numerators, _reduced_fractions(numerators, m)))
         points = zip(*[map(table.__getitem__, column) for column in columns])
         return self.orders(columns), TorusPoint._canonical_points(points)
+
+
+def _reduced_fractions(numerators, m) -> list[Fraction]:
+    """[Fraction(a, m) for a in numerators], for 0 <= a < m, built in bulk.
+
+    Fraction(a, m) stores (a // g, m // g) with g = gcd(a, m).  Bare
+    instances get those two slots through the class's member descriptors,
+    so no Fraction.__new__ (with its type dispatch, gcd and sign check) runs
+    per entry.
+    """
+    g = list(map(gcd, numerators, repeat(m)))
+    fractions = list(map(object.__new__, repeat(Fraction, len(numerators))))
+    deque(map(Fraction._numerator.__set__, fractions, map(floordiv, numerators, g)), maxlen=0)
+    deque(map(Fraction._denominator.__set__, fractions, map(floordiv, repeat(m), g)), maxlen=0)
+    return fractions
 
 
 def classify(f: TorusEndo, q) -> tuple[Classification, OrbitResult]:
     """Exact (preperiod, period) of a rational point under the map.
 
     The orbit stays inside the finite grid of denominator lcm(ord(q), ord(b))
-    because the linear part maps Z^n into itself, so hash-based cycle
-    detection terminates and is exact.
+    because the linear part maps Z^n into itself, so the walk terminates and
+    is exact: on a bijective grid it runs to the first return to q, otherwise
+    a visited map finds the first repeat (see TorusGrid.walk).
     """
     if f.has_irrational_translation:
         raise UnsupportedInputError(
