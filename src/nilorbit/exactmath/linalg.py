@@ -55,10 +55,6 @@ def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_scale(A, s):
-    return [[s * a for a in row] for row in A]
-
-
 def mat_mul(A, B):
     m, k = mat_shape(A)
     k2, n = mat_shape(B)
@@ -179,27 +175,6 @@ def rref(rows) -> list[list[Fraction]]:
     """Reduced row echelon form over Q; returns the nonzero rows."""
     R, _, p = integral_rref(rows)
     return [[Fraction(x, p) for x in row] for row in R]
-
-
-def charpoly(M) -> list[Fraction]:
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn].
-
-    Faddeev-LeVerrier recurrence; exact because each division by k is exact
-    over Q.
-    """
-    n, n2 = mat_shape(M)
-    if n != n2:
-        raise ValueError("characteristic polynomial needs a square matrix")
-    A = [[as_fraction(x) for x in row] for row in M]
-    coeffs = [Fraction(1)]
-    Mk = mat_copy(A)
-    for k in range(1, n + 1):
-        ck = -Fraction(sum(Mk[i][i] for i in range(n)), k)
-        coeffs.append(ck)
-        if k < n:
-            shifted = mat_add(Mk, mat_scale(mat_identity(n), ck))
-            Mk = mat_mul(A, shifted)
-    return coeffs
 
 
 def invert_rational(A):

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .cyclotomic import maximal_root_of_unity_orders
 from .linalg import (
-    _eliminate, integral_rows, mat_identity, mat_pow, mat_shape, mat_sub, mat_transpose, rref,
+    _eliminate, integral_rows, mat_identity, mat_pow, mat_shape, mat_sub, rref,
 )
 
 
@@ -120,12 +120,6 @@ def _kernel_vectors(M) -> list[list[int]]:
 def rational_kernel(M) -> SubspaceQ:
     """Canonical rational basis of ker(M); spans the real kernel as well."""
     return SubspaceQ.from_vectors(mat_shape(M)[1], _kernel_vectors(M))
-
-
-def rational_image(M) -> SubspaceQ:
-    """Canonical rational basis of the column space of M."""
-    m, n = mat_shape(M)
-    return SubspaceQ.from_vectors(m, mat_transpose(M))
 
 
 def eventually_fixed_subspace(M, include_nilpotent: bool = False) -> SubspaceQ:

@@ -135,7 +135,8 @@ def load_fixture(path):
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # a JSONDecodeError, a file that is not UTF-8 or an integer too long to parse
+    except (OSError, ValueError) as exc:
         raise InvalidFixtureError(f"cannot read fixture {path}: {exc}") from exc
     return build_fixture(doc, default_name=path.stem)
 
@@ -162,6 +163,12 @@ def build_fixture(doc: dict, default_name: str = "inline"):
             return CoverFixture(name, description, endo, rows)
         if kind == "nil":
             m = parse_integer(doc["dim"])
+            basis = doc["lattice_basis"]
+            # before the m x m x m bracket tensor is allocated
+            if len(basis) != m:
+                raise InvalidFixtureError(
+                    f"fixture has dim = {doc['dim']}, but lattice_basis has {len(basis)} rows"
+                )
             tensor = [[[Fraction(0)] * m for _ in range(m)] for _ in range(m)]
             for key, vec in _object_field(doc, "bracket").items():
                 i, j = (int(part) for part in key.split(","))
@@ -173,7 +180,7 @@ def build_fixture(doc: dict, default_name: str = "inline"):
             group = Class2Group(tensor)
             gens = [
                 MalcevElement(group, [Fraction(str(x)) for x in row])
-                for row in doc["lattice_basis"]
+                for row in basis
             ]
             lattice = subgroup_generated(gens)
             endos = {

@@ -25,62 +25,9 @@ from .torus import TorusGrid, TranslationVerdict, translation_periodicity
 SCHEMA_VERSION = 1
 
 
-def _exact_order_states(m: int, n: int):
-    """Numerator tuples a with gcd(m, a) = 1: on the torus, the points of
-    relative order exactly m."""
-    for tup in itertools.product(range(m), repeat=n):
-        if gcd(m, *tup) == 1:
-            yield tup
-
-
 def _point_strs(m: int) -> list[str]:
     """str(Fraction(a, m)) for every numerator a mod m."""
     return [str(Fraction(a, m)) for a in range(m)]
-
-
-class _TorusGrid(TorusGrid):
-    """Torus maps on the (1/m)-grid: states are numerator tuples mod m."""
-
-    checks_constant_order = True
-
-    def __init__(self, fixture: TorusFixture, endo_name, m: int):
-        super().__init__(fixture.endo, m)
-        self.dim = fixture.endo.dim
-
-    @staticmethod
-    def describe(fixture: TorusFixture, endo_name):
-        """(report name, map description, |determinant|, expectations)."""
-        endo = fixture.endo
-        map_desc = {"A": [list(r) for r in endo.linear], "b": [str(x) for x in endo.translation]}
-        return fixture.name, map_desc, abs(endo.determinant), fixture.expect
-
-    def encode(self, nums):
-        return nums
-
-    def point_order(self, nums) -> int:
-        # every row comes from _exact_order_states, so gcd(m, *nums) = 1
-        return self.m
-
-
-class _NilCosets(NilCosets):
-    """Nil maps on cosets of the points a/m in exponential coordinates."""
-
-    checks_constant_order = False
-
-    def __init__(self, fixture: NilFixture, endo_name: str, m: int):
-        super().__init__(fixture.endos[endo_name], fixture.lattice, m)
-        self.dim = fixture.group.dim
-
-    @staticmethod
-    def describe(fixture: NilFixture, endo_name: str):
-        endo = fixture.endos[endo_name]
-        map_desc = {"matrix": [[str(x) for x in row] for row in endo.matrix]}
-        # |det| is the index of the image lattice, so it is an integer
-        return f"{fixture.name}:{endo_name}", map_desc, int(abs(endo.determinant)), {}
-
-    def point_order(self, nums) -> int:
-        # the grid point itself: its coset representative can have another order
-        return grid_order(self.lattice, self.s, nums)
 
 
 def _check_bound(command: str, bound: int):
@@ -88,31 +35,56 @@ def _check_bound(command: str, bound: int):
         raise UnsupportedInputError(f"{command} needs a bound of at least 1, got {bound}")
 
 
-def _family(fixture, endo_name, command: str):
-    """The adapter class and map name for a scan or density run."""
+def _describe(fixture, endo_name, command: str):
+    """(report name, map description, |determinant|, expectations, map name)
+    of a scan or density run; the map name is None on the torus."""
     if isinstance(fixture, TorusFixture):
-        if not fixture.endo.is_linear:
+        endo = fixture.endo
+        if not endo.is_linear:
             raise UnsupportedInputError(f"{command} needs a linear fixture (zero translation)")
-        return _TorusGrid, None
+        map_desc = {"A": [list(r) for r in endo.linear], "b": [str(x) for x in endo.translation]}
+        return fixture.name, map_desc, abs(endo.determinant), fixture.expect, None
     if isinstance(fixture, NilFixture):
-        return _NilCosets, fixture.pick_endo(endo_name)
+        endo_name = fixture.pick_endo(endo_name)
+        endo = fixture.endos[endo_name]
+        map_desc = {"matrix": [[str(x) for x in row] for row in endo.matrix]}
+        # |det| is the index of the image lattice, so it is an integer
+        return f"{fixture.name}:{endo_name}", map_desc, int(abs(endo.determinant)), {}, endo_name
     raise UnsupportedInputError(
         f"{command} supports linear torus and nil fixtures, not {fixture.kind!r}"
     )
 
 
+def _sweep(fixture, endo_name, m: int, exact_order: bool):
+    """(grid, [(nums, state)], memo) over the grid points a/m, in
+    lexicographic order of the numerators a: all of them, or with
+    exact_order only those with gcd(m, a) = 1 (on the torus, the points of
+    relative order exactly m).  A torus state is the tuple a, a nil state
+    the coset of exp(a/m); memo maps every state to its (preperiod, period)."""
+    if isinstance(fixture, TorusFixture):
+        grid = TorusGrid(fixture.endo, m)
+        dim, encode = fixture.endo.dim, tuple
+    else:
+        grid = NilCosets(fixture.endos[endo_name], fixture.lattice, m)
+        dim, encode = fixture.group.dim, grid.encode
+    states = itertools.product(range(m), repeat=dim)
+    if exact_order:
+        states = (nums for nums in states if gcd(m, *nums) == 1)
+    points = [(nums, encode(nums)) for nums in states]
+    return grid, points, sweep_orbits(grid.step, [state for _, state in points])
+
+
 def _denominator_table(payload):
     """Worker: classify every grid point a/m with gcd(m, a) = 1.
 
-    The payload names the adapter class, so the step closure is built here
-    and the payload pickles for --workers.  Returns (m, rows, order_bad,
+    The payload is (fixture, map name, m), so the grid is built here and the
+    payload pickles for --workers.  Returns (m, rows, order_bad,
     support_bad): the first periodic point whose successor has another
     relative order, or another prime support of it.
     """
-    family, fixture, endo_name, m = payload
-    grid = family(fixture, endo_name, m)
-    points = [(nums, grid.encode(nums)) for nums in _exact_order_states(m, grid.dim)]
-    memo = sweep_orbits(grid.step, [state for _, state in points])
+    fixture, endo_name, m = payload
+    grid, points, memo = _sweep(fixture, endo_name, m, exact_order=True)
+    on_torus = isinstance(grid, TorusGrid)
     coord = _point_strs(m)
     rows = []
     order_bad = None
@@ -126,7 +98,9 @@ def _denominator_table(payload):
                 "verdict": "periodic" if pre == 0 else "eventually_periodic",
                 "preperiod": pre,
                 "period": per,
-                "relative_order": grid.point_order(nums),
+                # a torus row has gcd(m, a) = 1; on a nil grid, the order of
+                # the point itself, as its coset representative's can differ
+                "relative_order": m if on_torus else grid_order(fixture.lattice, m, nums),
             }
         )
         if pre == 0:
@@ -171,9 +145,8 @@ def scan_report(fixture, max_denominator: int, workers: int = 1, endo_name=None)
     _check_bound("scan", max_denominator)
     if workers < 1:
         raise UnsupportedInputError(f"scan needs at least 1 worker, got {workers}")
-    family, endo_name = _family(fixture, endo_name, "scan")
-    name, map_desc, D, expect = family.describe(fixture, endo_name)
-    payloads = [(family, fixture, endo_name, m) for m in range(1, max_denominator + 1)]
+    name, map_desc, D, expect, endo_name = _describe(fixture, endo_name, "scan")
+    payloads = [(fixture, endo_name, m) for m in range(1, max_denominator + 1)]
     results = _run_jobs(_denominator_table, payloads, workers)
 
     tables = {}
@@ -192,7 +165,7 @@ def scan_report(fixture, max_denominator: int, workers: int = 1, endo_name=None)
             support_bad is None, len(all_rows), support_bad
         ),
     }
-    if family.checks_constant_order:
+    if isinstance(fixture, TorusFixture):
         assertions["constant_order_on_cycles"] = _assertion(
             order_bad is None, len(all_rows), order_bad
         )
@@ -258,25 +231,22 @@ def density_report(fixture, m_max: int, endo_name=None) -> dict:
                 "cells": {},
                 "ok": True,
             }
-    family, endo_name = _family(fixture, endo_name, "density")
-    name, _, D, _ = family.describe(fixture, endo_name)
+    name, _, D, _, endo_name = _describe(fixture, endo_name, "density")
     cells = {}
     for m in range(1, m_max + 1):
         if D != 0 and gcd(D, m) != 1:
             cells[str(m)] = {"admissible": False}
             continue
-        grid = family(fixture, endo_name, m)
-        starts = {nums: grid.encode(nums) for nums in itertools.product(range(m), repeat=grid.dim)}
-        memo = sweep_orbits(grid.step, starts.values())
+        _, points, memo = _sweep(fixture, endo_name, m, exact_order=False)
         coord = _point_strs(m)
         missing = [
             ",".join([coord[a] for a in nums])
-            for nums, state in starts.items()
+            for nums, state in points
             if memo[state][0] != 0
         ]
         cells[str(m)] = {
             "admissible": True,
-            "cells": m**grid.dim,
+            "cells": len(points),
             "all_cells_hit": not missing,
             "missing": missing,
         }

@@ -180,51 +180,14 @@ def step(f: TorusEndo, x: TorusPoint) -> TorusPoint:
     return TorusPoint(tuple(m + b for m, b in zip(moved, f.translation)))
 
 
-def _grid_source(n: int):
-    """The parameters, the coordinate names and the affine rows mod m of the
-    grid map in dimension n, as source text shared by the step and the walk."""
-    params = ", ".join(
-        ["m", *(f"a{i}_{j}" for i in range(n) for j in range(n)), *(f"c{i}" for i in range(n))]
-    )
-    coords = "".join(f"x{j}, " for j in range(n))
-    rows = "".join(
-        "(" + " + ".join([*(f"a{i}_{j}*x{j}" for j in range(n)), f"c{i}"]) + ") % m, "
-        for i in range(n)
-    )
-    return params, coords, rows
+# The grid map of dimension n and its two orbit walks.  ({coords}) = ({rows})
+# is one step, and {push} appends every coordinate to its column.
+_GRID_SOURCE = """\
+def make({params}):
+    def step(state):
+        ({coords}) = state
+        return ({rows})
 
-
-def _compile_make(source: str, name: str):
-    # runtime warnings of the generated code name this module
-    namespace: dict = {"__name__": __name__}
-    exec(compile(source, name, "exec"), namespace)
-    return namespace["make"]
-
-
-@lru_cache(maxsize=None)
-def _step_factory(n: int):
-    """make(m, a0_0, ..., a0_{n-1}, a1_0, ..., c0, ..., c_{n-1}) -> step.
-
-    The step is straight-line code for dimension n: one unpack of the state
-    and one affine row mod m per coordinate.  The source depends on n only;
-    the entries, the translation numerators and m are arguments, so one
-    compiled factory serves every map and grid of that dimension.
-    """
-    params, coords, rows = _grid_source(n)
-    return _compile_make(
-        f"def make({params}):\n"
-        "    def step(state):\n"
-        f"        ({coords}) = state\n"
-        f"        return ({rows})\n"
-        "    return step\n",
-        f"<nilorbit step n={n}>",
-    )
-
-
-# The two orbit walks of _walk_factory.  {push} appends every coordinate to
-# its column, and ({coords}) = ({rows}) is one step of the grid map.
-_WALK_SOURCE = """\
-def make(bijective, {params}):
     def first_return(start):
         ({coords}) = ({starts}) = start
         if not ({in_grid}):
@@ -253,24 +216,30 @@ def make(bijective, {params}):
         mu = index[key]
         return mu, len(col0) - mu, [{columns}]
 
-    return first_return if bijective else first_repeat
+    return step, first_return, first_repeat
 """
 
 
 @lru_cache(maxsize=None)
-def _walk_factory(n: int):
-    """make(bijective, m, a0_0, ..., c_{n-1}) -> walk, for dimension n.
+def _grid_factory(n: int):
+    """make(m, a0_0, ..., a0_{n-1}, a1_0, ..., c0, ..., c_{n-1}) ->
+    (step, first_return, first_repeat), for the grid map of dimension n.
 
-    walk(start) returns (preperiod, period, columns): the orbit of the state
+    The source depends on n only; the entries, the translation numerators
+    and m are arguments, so one compiled factory serves every map and grid
+    of that dimension.  The step is straight-line code, one affine row mod m
+    per coordinate; it unpacks the state, so a state of the wrong length
+    raises ValueError.
+
+    Each walk(start) returns (preperiod, period, columns): the orbit of
     start, its preperiod tail then one cycle, as one list of numerators per
     coordinate.  The coordinates stay locals and are stepped inline, with
-    no call per step.  On a bijective grid the map is a permutation, so the
-    orbit is one cycle through start: the walk stops at the first return,
-    with no visited set.  Otherwise a dict keyed by the state packed into
-    one int in base m finds the first repeat.  A start of the wrong length
+    no call per step.  first_return stops at the first return to start,
+    with no visited set, so it serves only a bijective grid, whose orbits
+    are cycles.  first_repeat finds the first repeat through a dict keyed by
+    the state packed into one int in base m.  A start of the wrong length
     or outside [0, m)^n raises ValueError.
     """
-    params, coords, rows = _grid_source(n)
     key = "x0"
     for j in range(1, n):
         key = f"({key}) * m + x{j}"
@@ -278,40 +247,49 @@ def _walk_factory(n: int):
     def each(pattern, sep=""):
         return sep.join(pattern.format(j) for j in range(n))
 
-    source = _WALK_SOURCE.format(
-        params=params, coords=coords, rows=rows, key=key, empty="[], " * n,
+    rows = "".join(
+        "(" + " + ".join([*(f"a{i}_{j}*x{j}" for j in range(n)), f"c{i}"]) + ") % m, "
+        for i in range(n)
+    )
+    source = _GRID_SOURCE.format(
+        params=", ".join(["m", *(f"a{i}_{j}" for i in range(n) for j in range(n)),
+                          *(f"c{i}" for i in range(n))]),
+        coords=each("x{}, "), rows=rows, key=key, empty="[], " * n,
         starts=each("s{}, "), columns=each("col{}, "), pushes=each("push{}, "),
         appends=each("col{}.append, "), push=each("push{0}(x{0})", "; "),
         in_grid=each("0 <= x{} < m", " and "), moved=each("x{0} != s{0}", " or "),
     )
-    return _compile_make(source, f"<nilorbit walk n={n}>")
+    # runtime warnings of the generated code name this module
+    namespace: dict = {"__name__": __name__}
+    exec(compile(source, f"<nilorbit grid n={n}>", "exec"), namespace)
+    return namespace["make"]
 
 
 class TorusGrid:
     """The map on numerators of the grid (1/m)Z^n: x -> (A x + m b) mod m.
 
     m must be a multiple of the relative order of the translation.  The step
-    is a closure from _step_factory, and a state of the wrong length raises
-    ValueError.  The walk is built from _walk_factory on first use, so a
-    grid that only steps never builds it.  A path is handed on as one
-    column of numerators per coordinate.
+    and both walks come from _grid_factory; the walk is picked on first use.
+    A path is handed on as one column of numerators per coordinate.
     """
 
     def __init__(self, f: TorusEndo, m: int):
         self.m = m
         self._f = f
         numerators = [int(x * m) % m for x in f.translation_fractions()]
-        self._coefficients = (m, *(a for row in f.linear for a in row), *numerators)
-        self.step = _step_factory(f.dim)(*self._coefficients)
+        self.step, *self._walks = _grid_factory(f.dim)(
+            m, *(a for row in f.linear for a in row), *numerators
+        )
 
     @cached_property
     def walk(self):
         """walk(start) -> (preperiod, period, columns) of the orbit of start.
 
         x -> A x + c mod m is a permutation of (Z/m)^n iff gcd(det A, m) = 1,
-        and then the walk runs to the first return (see _walk_factory)."""
-        f = self._f
-        return _walk_factory(f.dim)(gcd(f.determinant, self.m) == 1, *self._coefficients)
+        and then the walk runs to the first return (see _grid_factory).  The
+        pick waits for first use: grids that only step, such as those of
+        FlatPoints, never need det A."""
+        return self._walks[gcd(self._f.determinant, self.m) != 1]
 
     def order(self, state) -> int:
         """Relative order of the grid point state/m."""

@@ -177,6 +177,18 @@ def test_cli_exit_code_bad_fixture(tmp_path):
         out = run_cli("classify", "--fixture", str(path), "--point", point)
         assert out.returncode == 2, (doc, out.stderr)
         assert "Traceback" not in out.stderr
+    # a huge nil dim fails before the dim^3 bracket tensor is built; a file
+    # that is not UTF-8 and an integer past Python's digit limit fail to parse
+    heisenberg = json.loads((FIXTURES / "heisenberg.json").read_text())
+    raw = [json.dumps({**heisenberg, "dim": dim}).encode() for dim in (10**50, 1e300)] + [
+        b'\xff\xfe{"n": 1}',
+        ('{"n": 2, "A": [[' + "1" * 5000 + ']], "b": ["0"]}').encode(),
+    ]
+    for data in raw:
+        path.write_bytes(data)
+        out = run_cli("classify", "--fixture", str(path), "--point", "0,0,0")
+        assert out.returncode == 2, (data[:40], out.stderr)
+        assert out.stderr.startswith("bad fixture:") and "Traceback" not in out.stderr
     # a quadratic d of 2.5 once loaded as sqrt(2), and density reported on it
     path.write_text(json.dumps(_quad_d_doc(2.5)))
     out = run_cli("density", "--fixture", str(path), "--m-max", "3")

@@ -2,9 +2,11 @@
 direct Fraction oracles, cover fibers against their point-by-point
 classification, the grid step, the cycle detection and the orbit
 transcripts against row-by-row, list-search and one-state-at-a-time
-oracles, the integer elimination against Fraction Gauss-Jordan, and the
-report renderer against the standard library's encoder."""
+oracles, the integer elimination against Fraction Gauss-Jordan, the
+report renderer against the standard library's encoder, and fixture
+loading on shipped fixtures with values replaced."""
 
+import copy
 import itertools
 import json
 import random
@@ -17,7 +19,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nilorbit.errors import ConsistencyError, InvalidFixtureError  # noqa: E402
+from nilorbit.errors import (  # noqa: E402
+    ConsistencyError,
+    InvalidFixtureError,
+    MixedFieldError,
+    UnsupportedInputError,
+)
 from nilorbit.exactmath import (  # noqa: E402
     SubspaceQ,
     denominator_lcm,
@@ -52,8 +59,7 @@ from nilorbit.torus import (  # noqa: E402
     TorusEndo,
     TorusGrid,
     TorusPoint,
-    _step_factory,
-    _walk_factory,
+    _grid_factory,
     classify,
     classify_fiber,
     cover_lattice,
@@ -249,6 +255,10 @@ def test_torus_walk_matches_naive_orbit(case):
     grid = TorusGrid(TorusEndo(A, b), m)
     mu, lam, path = naive_orbit(reference_torus_step(A, b, m), start)
     assert grid.walk(start) == (mu, lam, [list(column) for column in zip(*path)])
+    # the first-return walk serves exactly the bijective grids, whose orbits are cycles
+    bijective = gcd(det(A), m) == 1
+    assert (grid.walk.__name__ == "first_return") == bijective
+    assert mu == 0 or not bijective
     # a start of the wrong length or off the grid is an error, not a hang
     for bad in (start + (0,), start[:-1], (start[0] + m, *start[1:])):
         with pytest.raises(ValueError):
@@ -270,17 +280,6 @@ def test_torus_walk_pinned_cases():
     mu, lam, path = naive_orbit(reference_torus_step(singular, [Fraction(1, 3), 0], 12), (1, 5))
     assert mu >= 1
     assert grid.walk((1, 5)) == (mu, lam, [list(column) for column in zip(*path)])
-
-
-def test_walk_is_built_on_first_use():
-    _walk_factory.cache_clear()
-    grids = [TorusGrid(TorusEndo([[2, 1], [1, 1]]), m) for m in (5, 6)]
-    for grid in grids:
-        grid.step((1, 2))
-    assert _walk_factory.cache_info().misses == 0
-    assert [grid.walk((1, 2))[:2] for grid in grids] == [(0, 2), (0, 12)]
-    info = _walk_factory.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
 
 
 class _LongOrbit(Exception):
@@ -354,14 +353,14 @@ def test_nil_grid_encoder_matches_reference(data):
     assert grid_order(N, s, nums) == nil_relative_order_search(N, g)
 
 
-def test_step_factory_builds_once_per_dimension():
-    _step_factory.cache_clear()
+def test_grid_factory_builds_once_per_dimension():
+    _grid_factory.cache_clear()
     for n in range(1, 7):
         for m in (1, 12, 97):
             for c in range(3):
                 A = [[(i + c * j) % 5 - 2 for j in range(n)] for i in range(n)]
                 TorusGrid(TorusEndo(A, [Fraction(c, 3)] * n), 3 * m).step(tuple(range(n)))
-    info = _step_factory.cache_info()
+    info = _grid_factory.cache_info()
     assert (info.misses, info.currsize) == (6, 6)
 
 
@@ -590,6 +589,40 @@ def test_classify_infra_matches_reference_walk(case):
     mu, lam, orders = flat_reference_walk(group, endo, x)
     assert (cls.preperiod, cls.period) == (mu, lam)
     assert list(cls.relative_order_trace) == orders
+
+
+# values a hand-edited fixture may hold where it should not: huge, negative,
+# fractional and boolean numbers, strings that are no numbers, empty and
+# misshapen containers, and quadratic scalars whose d is not square-free,
+# negative or not an integer
+_FUZZ_VALUES = [
+    10**50, 1e300, -1, 0, 2.5, True, "x", "1/0", "nan", None, [], {}, [[1]],
+    *({"a": "1", "b": "1", "d": d} for d in (4, -3, 2.5)),
+]
+
+
+@pytest.mark.parametrize("path", [path for _, path, _, _ in list_fixtures()],
+                         ids=lambda path: path.stem)
+@settings(max_examples=100, derandomize=True)
+@given(data=st.data())
+def test_mutated_fixture_raises_only_typed_errors(path, data):
+    # 1-3 values of a shipped fixture replaced: each walk down from the top
+    # stops at a value, or goes on into it while it is a non-empty container
+    doc = json.loads(path.read_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        target = doc
+        while True:
+            keys = list(target) if isinstance(target, dict) else range(len(target))
+            key = data.draw(st.sampled_from(keys))
+            value = target[key]
+            if not (isinstance(value, (dict, list)) and value and data.draw(st.booleans())):
+                break
+            target = value
+        target[key] = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_VALUES)))
+    try:
+        build_fixture(doc)
+    except (InvalidFixtureError, UnsupportedInputError, MixedFieldError):
+        pass
 
 
 # pieces the renderer must escape, or must not read as a %-format in a key
