@@ -4,21 +4,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .scalars import prime_support
+
 
 def euler_totient(d: int) -> int:
     if d < 1:
         raise ValueError("totient needs a positive integer")
     out = d
-    n = d
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out -= out // n
+    for p in prime_support(d):
+        out -= out // p
     return out
 
 

@@ -22,6 +22,7 @@ Scalar = Union[int, Fraction, "QuadExt"]
 def is_square_free(d: int) -> bool:
     if d < 1:
         return False
+    # its own loop, not prime_support: it stops at the first square factor
     p = 2
     n = d
     while p * p <= n:

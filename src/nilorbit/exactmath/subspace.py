@@ -1,6 +1,6 @@
 """Rational subspaces in reduced row-echelon form.
 
-A subspace of Q^n is stored by its unique RREF basis, so equality, sums and
+A subspace of Q^n is stored by its unique RREF basis, so equality and
 membership are canonical structural operations.  A rational basis determines
 the real span; all "directions" reasoning downstream (eventually periodic
 sets, equalizers) happens through these bases.
@@ -78,22 +78,6 @@ class SubspaceQ:
         if any(t):
             return None
         return [Fraction(w[c], D) for c in self._integral_form[2]]
-
-    def sum(self, other: "SubspaceQ") -> "SubspaceQ":
-        if other.ambient_dim != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return SubspaceQ.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
-
-    def complement(self) -> "SubspaceQ":
-        """Coordinate complement: standard basis vectors at non-pivot columns."""
-        pivots = set(self.pivot_columns())
-        vecs = []
-        for j in range(self.ambient_dim):
-            if j not in pivots:
-                e = [Fraction(0)] * self.ambient_dim
-                e[j] = Fraction(1)
-                vecs.append(e)
-        return SubspaceQ.from_vectors(self.ambient_dim, vecs)
 
     def __str__(self):
         if self.dim == 0:

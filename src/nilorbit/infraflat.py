@@ -104,34 +104,25 @@ def validate_bieberbach(dim: int, reps) -> BieberbachGroup:
         tv = tuple(Fraction(x) % 1 for x in t)
         parsed.append(HolonomyRep(freeze_matrix(Fi), tv))
 
-    matrices = [list(map(list, rep.F)) for rep in parsed]
-    if not any(mat_equal(F, mat_identity(dim)) and all(x == 0 for x in rep.t)
-               for F, rep in zip(matrices, parsed)):
+    ident = freeze_matrix(mat_identity(dim))
+    if not any(rep.F == ident and not any(rep.t) for rep in parsed):
         raise InvalidFixtureError("identity representative (I, 0) is required")
-    for i in range(len(parsed)):
-        for j in range(i + 1, len(parsed)):
-            if mat_equal(matrices[i], matrices[j]):
-                raise InvalidFixtureError(
-                    "holonomy matrices must be distinct per representative"
-                )
-
-    def find_rep(F):
-        for k, Fk in enumerate(matrices):
-            if mat_equal(F, Fk):
-                return k
-        return None
+    index = {rep.F: k for k, rep in enumerate(parsed)}
+    if len(index) != len(parsed):
+        raise InvalidFixtureError(
+            "holonomy matrices must be distinct per representative"
+        )
 
     for i, ri in enumerate(parsed):
         for j, rj in enumerate(parsed):
-            F = mat_mul(matrices[i], matrices[j])
-            k = find_rep(F)
+            k = index.get(freeze_matrix(mat_mul(ri.F, rj.F)))
             if k is None:
                 raise InvalidFixtureError(
                     f"holonomy not closed: product of representatives {i} and {j}"
                 )
             shift = [
                 a + b - c
-                for a, b, c in zip(mat_vec(matrices[i], list(rj.t)), ri.t, parsed[k].t)
+                for a, b, c in zip(mat_vec(ri.F, list(rj.t)), ri.t, parsed[k].t)
             ]
             if any(Fraction(x).denominator != 1 for x in shift):
                 raise InvalidFixtureError(
@@ -140,7 +131,7 @@ def validate_bieberbach(dim: int, reps) -> BieberbachGroup:
 
     order = len(parsed)
     for idx, rep in enumerate(parsed):
-        if mat_equal(list(map(list, rep.F)), mat_identity(dim)):
+        if rep.F == ident:
             continue
         P = geometric_sum(rep.F, _rep_order(rep.F, order))
         rhs = [-x for x in mat_vec(P, list(rep.t))]

@@ -177,6 +177,24 @@ def commutator(g: MalcevElement, h: MalcevElement) -> MalcevElement:
     return MalcevElement(g.group, g.group.bracket_vec(g.coords, h.coords))
 
 
+def _horizontal_product(group: Class2Group, rows, exponents) -> MalcevElement:
+    """The ordered product exp(t_0 r_0) exp(t_1 r_1) ... over the rows."""
+    out = identity(group)
+    for t, row in zip(exponents, rows):
+        if t:
+            out = bch_mul(out, MalcevElement(group, [t * x for x in row]))
+    return out
+
+
+def _combination(dim: int, coeffs, rows) -> list[Fraction]:
+    """The vector sum c_i r_i (zeros of length dim for no rows)."""
+    out = [Fraction(0)] * dim
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [o + c * x for o, x in zip(out, row)]
+    return out
+
+
 @dataclass(frozen=True)
 class LatticeSubgroup:
     """Finitely generated lattice via an adapted basis.
@@ -290,19 +308,10 @@ class LatticeSubgroup:
 
     def horizontal_product(self, exponents) -> MalcevElement:
         """Ordered product of exp(t_i b_i) over the horizontal rows."""
-        out = identity(self.group)
-        for t, row in zip(exponents, self.horizontal_rows):
-            if t == 0:
-                continue
-            out = bch_mul(out, MalcevElement(self.group, [t * x for x in row]))
-        return out
+        return _horizontal_product(self.group, self.horizontal_rows, exponents)
 
     def central_combination(self, coeffs) -> list[Fraction]:
-        out = [Fraction(0)] * self.group.dim
-        for c, row in zip(coeffs, self.central_rows):
-            if c:
-                out = [o + c * x for o, x in zip(out, row)]
-        return out
+        return _combination(self.group.dim, coeffs, self.central_rows)
 
     def normal_form(self, g: MalcevElement):
         """(a, c): g = (ordered horizontal product with exponents a) * exp(sum c_k z_k).
@@ -401,19 +410,16 @@ def subgroup_generated(gens) -> LatticeSubgroup:
         raise LatticeError(
             f"generators span rank {len(H_ab)} < {m - r} in the abelianization"
         )
-    horizontals = []
-    for u in combos:
-        h = identity(group)
-        for coeff, g in zip(u, gens):
-            if coeff:
-                h = bch_mul(h, bch_pow(g, coeff))
-        horizontals.append(h)
-
-    stage = _PartialLattice(group, horizontals, H_ab)
+    gen_rows = [g.coords for g in gens]
+    horizontals = [_horizontal_product(group, gen_rows, u).coords for u in combos]
+    # independent HNF rows in Q^(m-r), at least m-r of them: H_ab is invertible
+    ab_inv = invert_rational(mat_transpose(H_ab))
     central_vecs = []
     for g in gens:
-        t = stage.ab_solve(group.quotient_coords(g.coords))
-        w = bch_mul(bch_inv(stage.horizontal_product(t)), g)
+        t = mat_vec(ab_inv, group.quotient_coords(g.coords))
+        if any(x.denominator != 1 for x in t):
+            raise ConsistencyError("abelianization coefficients not integral")
+        w = bch_mul(bch_inv(_horizontal_product(group, horizontals, t)), g)
         if not group.derived.contains(list(w.coords)):
             raise ConsistencyError("generator residue is not central", payload=g)
         central_vecs.append(list(w.coords))
@@ -427,15 +433,9 @@ def subgroup_generated(gens) -> LatticeSubgroup:
         raise LatticeError(
             f"generated group has central rank {len(H_c)} < {r}: not a full lattice"
         )
-    central_rows = []
-    for row in H_c:
-        vec = [Fraction(0)] * m
-        for coeff, base in zip(row, group.derived.basis):
-            if coeff:
-                vec = [v + coeff * b for v, b in zip(vec, base)]
-        central_rows.append(vec)
+    central_rows = [_combination(m, row, group.derived.basis) for row in H_c]
 
-    lattice = LatticeSubgroup(group, [list(h.coords) for h in horizontals] + central_rows)
+    lattice = LatticeSubgroup(group, horizontals + central_rows)
     for g in gens:
         if not lattice.contains(g):
             raise ConsistencyError("generated lattice misses a generator", payload=g)
@@ -445,30 +445,6 @@ def subgroup_generated(gens) -> LatticeSubgroup:
             if not lattice.contains(bch_mul(x, y)):
                 raise ConsistencyError("generated lattice not closed under products")
     return lattice
-
-
-class _PartialLattice:
-    """Horizontal stage of subgroup_generated before the central rows exist."""
-
-    def __init__(self, group, horizontals, ab_rows):
-        self.group = group
-        self.horizontals = horizontals
-        self._inv = invert_rational(mat_transpose(ab_rows))
-        if self._inv is None:
-            raise LatticeError("abelianization rows are dependent")
-
-    def ab_solve(self, qcoords):
-        t = mat_vec(self._inv, qcoords)
-        if any(x.denominator != 1 for x in t):
-            raise ConsistencyError("abelianization coefficients not integral")
-        return t
-
-    def horizontal_product(self, exponents):
-        out = identity(self.group)
-        for t, h in zip(exponents, self.horizontals):
-            if t:
-                out = bch_mul(out, bch_pow(h, t))
-        return out
 
 
 def basis_root_subgroup(N: LatticeSubgroup, s: int) -> LatticeSubgroup:
@@ -504,10 +480,7 @@ def root_closure_counterexample(
     m = N.group.dim
     for _ in range(samples):
         exponents = [rng.randint(-3, 3) for _ in range(m)]
-        elem = identity(N.group)
-        for e, row in zip(exponents, N.basis):
-            if e:
-                elem = bch_mul(elem, bch_pow(MalcevElement(N.group, row), e))
+        elem = _horizontal_product(N.group, N.basis, exponents)
         root = bch_pow(elem, Fraction(1, s))
         if not N.contains(bch_pow(root, s)):
             raise ConsistencyError("sampled root lost its defining property")

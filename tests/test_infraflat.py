@@ -63,6 +63,25 @@ def test_closure_required():
         validate_bieberbach(2, [(I2, [0, 0]), (rot, [F(1, 3), 0])])
 
 
+@pytest.mark.parametrize("reps, message", [
+    # a translated identity is not (I, 0), and that check comes first
+    ([(I2, [F(1, 2), 0]), (FLIP, [F(1, 2), 0]), (FLIP, [F(1, 2), 0])],
+     "identity representative (I, 0) is required"),
+    ([(I2, [0, 0]), (FLIP, [F(1, 2), 0]), (FLIP, [0, 0])],
+     "holonomy matrices must be distinct per representative"),
+    ([(I2, [0, 0]), ([[0, -1], [1, -1]], [0, 0])],
+     "holonomy not closed: product of representatives 1 and 1"),
+    ([(I2, [0, 0]), (FLIP, [F(1, 3), 0])],
+     "translation cocycle broken between representatives 1 and 1"),
+    ([(I2, [0, 0]), (FLIP, [0, F(1, 2)])],
+     "torsion detected: representative 1 has a finite-order element"),
+])
+def test_bieberbach_checks_in_order(reps, message):
+    with pytest.raises(InvalidFixtureError) as err:
+        validate_bieberbach(2, reps)
+    assert str(err.value) == message
+
+
 def test_non_unimodular_rejected():
     with pytest.raises(InvalidFixtureError, match="unimodular"):
         validate_bieberbach(2, [(I2, [0, 0]), ([[2, 0], [0, 1]], [F(1, 2), 0])])

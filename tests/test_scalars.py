@@ -1,5 +1,6 @@
 import inspect
 import random
+import threading
 import tracemalloc
 from fractions import Fraction as F
 
@@ -16,6 +17,25 @@ def test_construction_rejects_non_square_free():
     with pytest.raises(ValueError):
         QuadExt(F(1), F(1), 1)
     QuadExt(F(1), F(1), 10)  # 10 = 2*5 is fine
+
+
+def test_square_factor_rejected_without_factoring():
+    """4p, with p = 10**39 + 3 the first prime above 10**39, is rejected at
+    its square factor 4; factoring p by trial division would not finish."""
+    d = 4 * (10**39 + 3)
+    errors = []
+
+    def build():
+        try:
+            QuadExt(F(1), F(1), d)
+        except ValueError as exc:
+            errors.append(exc)
+
+    worker = threading.Thread(target=build, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive(), "is_square_free is factoring d"
+    assert len(errors) == 1 and "square-free" in str(errors[0])
 
 
 def test_basic_identities():

@@ -1,7 +1,9 @@
 """Integer structure decisions against their Fraction oracles: eventually
 fixed directions, Smith-form solves, subspace membership, equalizers and
-the periodic-point searches over k, plus property tests of the Smith and Hermite forms they rest on, and the
-length checks of the membership tests."""
+the periodic-point searches over k, plus property tests of the Smith and
+Hermite forms they rest on (the Smith form also against sympy's invariant
+factors, when sympy is installed), and the length checks of the membership
+tests."""
 
 import random
 from fractions import Fraction
@@ -373,6 +375,19 @@ def test_hnf_properties(M):
     assert mat_mul(U, M) == H
     assert abs(gaussian_det(U)) == 1
     assert hnf(H)[0] == H
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(integer_matrices)
+def test_snf_matches_sympy_invariant_factors(M):
+    """An independent Smith form: sympy is a test-only dependency."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    S, _, _ = snf(M)
+    diag = [S[i][i] for i in range(min(len(M), len(M[0])))]
+    expected = invariant_factors(sympy.Matrix(M), domain=sympy.ZZ)
+    assert [x for x in diag if x] == [int(x) for x in expected if x]
 
 
 # --- periodic-point searches over k ---------------------------------------------
