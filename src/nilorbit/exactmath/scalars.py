@@ -14,9 +14,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Union
 
-from ..errors import MixedFieldError
+from ..errors import MixedFieldError, UnsupportedInputError
 
 Scalar = Union[int, Fraction, "QuadExt"]
+
+SQUARE_FREE_TRIAL_BOUND = 10**6
 
 
 def is_square_free(d: int) -> bool:
@@ -26,6 +28,9 @@ def is_square_free(d: int) -> bool:
     p = 2
     n = d
     while p * p <= n:
+        if p > SQUARE_FREE_TRIAL_BOUND:
+            raise UnsupportedInputError(f"cannot decide whether {d} is square-free by trial "
+                                        f"division up to {SQUARE_FREE_TRIAL_BOUND}")
         if n % (p * p) == 0:
             return False
         while n % p == 0:

@@ -3,9 +3,9 @@
 Every dynamical state space in this library is finite once a starting point
 is fixed (denominators cannot grow), so a walk to the first repeated state
 gives exact preperiods and periods.  iterate_orbit and sweep_orbits find
-the repeat with a map from state to step index; a system may bring its own
-walk (a torus grid on which the map is a bijection runs to the first return
-to its start, with no map at all).
+the repeat with a map from state to step index.  A system may bring its own
+walk, and a torus grid its own compiled sweep (TorusGrid.sweep), so
+sweep_orbits serves nil grids and is the torus sweep's oracle in the tests.
 """
 
 from __future__ import annotations

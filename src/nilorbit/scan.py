@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from operator import itemgetter
 
 from .errors import UnsupportedInputError
 from .exactmath import prime_support
@@ -26,8 +26,8 @@ SCHEMA_VERSION = 1
 
 
 def _point_strs(m: int) -> list[str]:
-    """str(Fraction(a, m)) for every numerator a mod m."""
-    return [str(Fraction(a, m)) for a in range(m)]
+    """str(Fraction(a, m)) for every numerator a mod m, without the Fractions."""
+    return ["0"] + [f"{a // (g := gcd(a, m))}/{m // g}" for a in range(1, m)]
 
 
 def _check_bound(command: str, bound: int):
@@ -56,22 +56,28 @@ def _describe(fixture, endo_name, command: str):
 
 
 def _sweep(fixture, endo_name, m: int, exact_order: bool):
-    """(grid, [(nums, state)], memo) over the grid points a/m, in
-    lexicographic order of the numerators a: all of them, or with
-    exact_order only those with gcd(m, a) = 1 (on the torus, the points of
-    relative order exactly m).  A torus state is the tuple a, a nil state
-    the coset of exp(a/m); memo maps every state to its (preperiod, period)."""
+    """([(nums, state)], memo, order, successor) over the points a/m in
+    lexicographic order of a: all, or with exact_order those with gcd(m, a) = 1
+    (on the torus, of relative order exactly m).  memo[state] is (preperiod,
+    period), order a state's relative order (on the torus, None unless
+    exact_order).  A torus state is a packed in base m, its index in that
+    order; a nil state the coset of exp(a/m)."""
     if isinstance(fixture, TorusFixture):
         grid = TorusGrid(fixture.endo, m)
-        dim, encode = fixture.endo.dim, tuple
-    else:
-        grid = NilCosets(fixture.endos[endo_name], fixture.lattice, m)
-        dim, encode = fixture.group.dim, grid.encode
-    states = itertools.product(range(m), repeat=dim)
+        states = list(itertools.product(range(m), repeat=fixture.endo.dim))
+        keys, order = range(len(states)), None
+        if exact_order:
+            orders = grid.orders(zip(*states))
+            keys, order = [k for k in keys if orders[k] == m], orders.__getitem__
+        memo, succ = grid.sweep(keys)
+        return list(zip(map(states.__getitem__, keys), keys)), memo, order, succ.__getitem__
+    grid = NilCosets(fixture.endos[endo_name], fixture.lattice, m)
+    states = itertools.product(range(m), repeat=fixture.group.dim)
     if exact_order:
         states = (nums for nums in states if gcd(m, *nums) == 1)
-    points = [(nums, encode(nums)) for nums in states]
-    return grid, points, sweep_orbits(grid.step, [state for _, state in points])
+    points = [(nums, grid.encode(nums)) for nums in states]
+    memo = sweep_orbits(grid.step, [state for _, state in points])
+    return points, memo, grid.order, grid.step
 
 
 def _denominator_table(payload):
@@ -83,8 +89,8 @@ def _denominator_table(payload):
     relative order, or another prime support of it.
     """
     fixture, endo_name, m = payload
-    grid, points, memo = _sweep(fixture, endo_name, m, exact_order=True)
-    on_torus = isinstance(grid, TorusGrid)
+    points, memo, order, successor = _sweep(fixture, endo_name, m, exact_order=True)
+    on_torus = isinstance(fixture, TorusFixture)
     coord = _point_strs(m)
     rows = []
     order_bad = None
@@ -104,8 +110,8 @@ def _denominator_table(payload):
             }
         )
         if pre == 0:
-            o1 = grid.order(state)
-            o2 = grid.order(grid.step(state))
+            o1 = order(state)
+            o2 = order(successor(state))
             # equal orders have equal prime support
             if o1 != o2:
                 if order_bad is None:
@@ -237,7 +243,7 @@ def density_report(fixture, m_max: int, endo_name=None) -> dict:
         if D != 0 and gcd(D, m) != 1:
             cells[str(m)] = {"admissible": False}
             continue
-        _, points, memo = _sweep(fixture, endo_name, m, exact_order=False)
+        points, memo, _, _ = _sweep(fixture, endo_name, m, exact_order=False)
         coord = _point_strs(m)
         missing = [
             ",".join([coord[a] for a in nums])
@@ -288,8 +294,8 @@ def _render(value, indent: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        sep = ",\n" + inner
-        return "[\n" + inner + sep.join([_render(v, inner) for v in value]) + "\n" + indent + "]"
+        items = _render_table(value, inner) or [_render(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
     # subclasses of str and int (bool has none, so it never gets here)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -297,6 +303,28 @@ def _render(value, indent: str) -> str:
         return int.__repr__(value)
     # floats render as json.dumps renders them; anything else raises TypeError
     return json.dumps(value)
+
+
+def _render_table(rows, indent: str):
+    """The items of a list of plain dicts with one key set (two or more),
+    each key holding only exact ints or only exact strs, rendered column by
+    column through one template: strs through the encoder, ints into %s as
+    they are.  None for any other list."""
+    first = rows[0]
+    if (set(map(type, rows)) != {dict} or len(first) < 2
+            or not all(map(first.keys().__eq__, map(dict.keys, rows)))):
+        return None
+    keys = tuple(sorted(first))
+    columns = []
+    for column in zip(*map(itemgetter(*keys), rows)):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            columns.append(column)
+        elif kinds == {str}:
+            columns.append(map(encode_basestring_ascii, column))
+        else:
+            return None
+    return list(map(_dict_template(keys, indent).__mod__, zip(*columns)))
 
 
 # exact types only, so that True is not formatted as an int

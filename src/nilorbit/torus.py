@@ -180,8 +180,8 @@ def step(f: TorusEndo, x: TorusPoint) -> TorusPoint:
     return TorusPoint(tuple(m + b for m, b in zip(moved, f.translation)))
 
 
-# The grid map of dimension n and its two orbit walks.  ({coords}) = ({rows})
-# is one step, and {push} appends every coordinate to its column.
+# The grid map of dimension n, its two orbit walks and its sweep.  ({coords})
+# = ({rows}) is one step, {push} appends to the columns, {unpack} reads a key.
 _GRID_SOURCE = """\
 def make({params}):
     def step(state):
@@ -216,14 +216,48 @@ def make({params}):
         mu = index[key]
         return mu, len(col0) - mu, [{columns}]
 
-    return step, first_return, first_repeat
+    def sweep(starts):
+        memo = [None] * m ** {n}
+        succ = memo.copy()
+        for start in starts:
+            if not 0 <= start < len(memo):
+                raise ValueError("state outside the grid")
+            if memo[start] is not None:
+                continue
+            {unpack}
+            key = start
+            path = [key]
+            # a state holds its place on the path until the walk is classified
+            memo[key] = 0
+            while True:
+                ({coords}) = ({rows})
+                # targets bind left to right: succ[old key], then key
+                succ[key] = key = {key}
+                if memo[key] is not None:
+                    break
+                memo[key] = len(path)
+                path.append(key)
+            cut = memo[key]
+            if type(cut) is int:  # a cycle from path[cut]
+                dist, lam = cut, len(path) - cut
+            else:  # into a classified state
+                (dist, lam), cut = cut, len(path)
+                dist += cut
+            for i in range(cut):
+                memo[path[i]] = (dist - i, lam)
+            cell = (0, lam)
+            for key in path[cut:]:
+                memo[key] = cell
+        return memo, succ
+
+    return step, first_return, first_repeat, sweep
 """
 
 
 @lru_cache(maxsize=None)
 def _grid_factory(n: int):
     """make(m, a0_0, ..., a0_{n-1}, a1_0, ..., c0, ..., c_{n-1}) ->
-    (step, first_return, first_repeat), for the grid map of dimension n.
+    (step, first_return, first_repeat, sweep) for the grid map of dimension n.
 
     The source depends on n only; the entries, the translation numerators
     and m are arguments, so one compiled factory serves every map and grid
@@ -238,11 +272,19 @@ def _grid_factory(n: int):
     with no visited set, so it serves only a bijective grid, whose orbits
     are cycles.  first_repeat finds the first repeat through a dict keyed by
     the state packed into one int in base m.  A start of the wrong length
-    or outside [0, m)^n raises ValueError.
+    or outside [0, m)^n raises ValueError.  sweep(starts) is
+    orbits.sweep_orbits on list slots, stepped the same way.  It returns
+    (memo, succ), indexed by packed key: memo[k] = (preperiod, period) and
+    succ[k] the next key, for every state reached from the starts.  On a
+    bijective grid the first classified state a walk meets is its own start,
+    so the walk is one cycle and shares one (0, period).  A start outside
+    range(m**n) raises ValueError.
     """
     key = "x0"
     for j in range(1, n):
         key = f"({key}) * m + x{j}"
+    unpack = "".join(["r = start; ", *(f"x{j} = r % m; r //= m; " for j in range(n - 1, 0, -1)),
+                      "x0 = r"])
 
     def each(pattern, sep=""):
         return sep.join(pattern.format(j) for j in range(n))
@@ -254,7 +296,7 @@ def _grid_factory(n: int):
     source = _GRID_SOURCE.format(
         params=", ".join(["m", *(f"a{i}_{j}" for i in range(n) for j in range(n)),
                           *(f"c{i}" for i in range(n))]),
-        coords=each("x{}, "), rows=rows, key=key, empty="[], " * n,
+        n=n, unpack=unpack, coords=each("x{}, "), rows=rows, key=key, empty="[], " * n,
         starts=each("s{}, "), columns=each("col{}, "), pushes=each("push{}, "),
         appends=each("col{}.append, "), push=each("push{0}(x{0})", "; "),
         in_grid=each("0 <= x{} < m", " and "), moved=each("x{0} != s{0}", " or "),
@@ -268,8 +310,8 @@ def _grid_factory(n: int):
 class TorusGrid:
     """The map on numerators of the grid (1/m)Z^n: x -> (A x + m b) mod m.
 
-    m must be a multiple of the relative order of the translation.  The step
-    and both walks come from _grid_factory; the walk is picked on first use.
+    m must be a multiple of the relative order of the translation.  The step,
+    walks and sweep come from _grid_factory; the walk is picked on first use.
     A path is handed on as one column of numerators per coordinate.
     """
 
@@ -277,7 +319,7 @@ class TorusGrid:
         self.m = m
         self._f = f
         numerators = [int(x * m) % m for x in f.translation_fractions()]
-        self.step, *self._walks = _grid_factory(f.dim)(
+        self.step, *self._walks, self.sweep = _grid_factory(f.dim)(
             m, *(a for row in f.linear for a in row), *numerators
         )
 

@@ -228,6 +228,20 @@ def test_cli_exit_code_unsupported_input():
     assert out.returncode == 3
 
 
+def test_cli_undecidable_quadratic_d_exits_unsupported(tmp_path):
+    """A prime d past the square-free trial bound is refused, not factored."""
+    doc = json.loads((FIXTURES / "irrational_translation.json").read_text())
+    doc["b"][0]["d"] = 10**39 + 3
+    path = tmp_path / "large_d.json"
+    path.write_text(json.dumps(doc))
+    out = subprocess.run(
+        [sys.executable, "-m", "nilorbit", "classify", "--fixture", str(path), "--point", "0,0"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("unsupported input:") and "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [

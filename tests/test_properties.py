@@ -7,10 +7,12 @@ report renderer against the standard library's encoder, and fixture
 loading on shipped fixtures with values replaced."""
 
 import copy
+import enum
 import itertools
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 from pathlib import Path
 
@@ -54,7 +56,7 @@ from nilorbit.nilclass2 import (  # noqa: E402
     subgroup_generated,
 )
 from nilorbit.orbits import iterate_orbit, sweep_orbits  # noqa: E402
-from nilorbit.scan import density_report, render_report, scan_report  # noqa: E402
+from nilorbit.scan import _render_table, density_report, render_report, scan_report  # noqa: E402
 from nilorbit.torus import (  # noqa: E402
     TorusEndo,
     TorusGrid,
@@ -280,6 +282,65 @@ def test_torus_walk_pinned_cases():
     mu, lam, path = naive_orbit(reference_torus_step(singular, [Fraction(1, 3), 0], 12), (1, 5))
     assert mu >= 1
     assert grid.walk((1, 5)) == (mu, lam, [list(column) for column in zip(*path)])
+
+
+def _packed(state, m):
+    return reduce(lambda key, x: key * m + x, state, 0)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(walk_cases(), st.data())
+def test_torus_sweep_matches_sweep_orbits(case, data):
+    """The compiled sweep against sweep_orbits on the same grid, on every
+    state: the same (preperiod, period) for each state either one reaches,
+    and the packed key of the reference step as its successor.  The starts
+    are the whole grid, its points of exact order m, or a few keys."""
+    A, b, m, _ = case
+    grid = TorusGrid(TorusEndo(A, b), m)
+    step = reference_torus_step(A, b, m)
+    states = list(itertools.product(range(m), repeat=len(A)))
+    kind = data.draw(st.sampled_from(["all", "exact order", "some"]))
+    if kind == "all":
+        keys = range(len(states))
+    elif kind == "exact order":
+        keys = [k for k, state in enumerate(states) if gcd(m, *state) == 1]
+    else:
+        keys = data.draw(st.lists(st.integers(0, len(states) - 1), min_size=1, max_size=12))
+    memo, succ = grid.sweep(keys)
+    reference = sweep_orbits(grid.step, [states[k] for k in keys])
+    assert len(memo) == len(succ) == len(states)
+    for key, state in enumerate(states):
+        assert _packed(state, m) == key
+        if state in reference:
+            assert memo[key] == reference[state], (state, memo[key], reference[state])
+            assert succ[key] == _packed(step(state), m)
+        else:
+            assert memo[key] is None and succ[key] is None
+    # on a bijective grid every walk closes at its start: no state has a tail
+    if gcd(det(A), m) == 1:
+        assert all(pre == 0 for pre, _ in filter(None, memo))
+    for bad in (-1, len(states)):
+        with pytest.raises(ValueError):
+            grid.sweep([bad])
+
+
+def test_torus_sweep_pinned_cases():
+    """A cat-map grid, where every orbit is a cycle, and a singular grid with
+    tails."""
+    results = {}
+    cases = {
+        "cat": (TorusEndo([[2, 1], [1, 1]]), 10),
+        "singular": (TorusEndo([[1, 2], [2, 4]], [Fraction(1, 3), 0]), 12),
+    }
+    for name, (f, m) in cases.items():
+        grid = TorusGrid(f, m)
+        states = list(itertools.product(range(m), repeat=2))
+        reference = sweep_orbits(grid.step, states)
+        memo, succ = results[name] = grid.sweep(range(m * m))
+        assert memo == [reference[state] for state in states]
+        assert succ == [_packed(grid.step(state), m) for state in states]
+    assert {pre for pre, _ in results["cat"][0]} == {0}
+    assert max(pre for pre, _ in results["singular"][0]) >= 1
 
 
 class _LongOrbit(Exception):
@@ -651,6 +712,54 @@ json_trees = st.recursive(
 @given(json_trees)
 def test_render_report_matches_json_dumps(tree):
     assert render_report(tree) == json_report_text(tree)
+
+
+class _Label(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HUGE = -(2**70)
+
+
+# values that must send a row list off the column path: not an exact int or str
+_ODD_CELLS = [True, False, None, 0.5, -1e300, _Level.LOW, _Level.HUGE, _Label("a%s"),
+              [1, "b"], {"k": [None]}, {}]
+
+
+@st.composite
+def row_lists(draw):
+    """(rows, perturbed): 1-30 dicts over one drawn key set, each key an int
+    or a str column, and with perturbed some rows changed: an odd value in
+    one cell, a key missing or an extra key."""
+    keys = draw(st.lists(json_strings, max_size=5, unique=True))
+    column = {int: st.integers() | st.integers(max_value=-(2**70)), str: json_strings}
+    kinds = [draw(st.sampled_from([int, str])) for _ in keys]
+    rows = [{key: draw(column[kind]) for key, kind in zip(keys, kinds)}
+            for _ in range(draw(st.integers(1, 30)))]
+    changes = draw(st.integers(0, 2))
+    for _ in range(changes):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        how = draw(st.sampled_from(["odd", "missing", "extra"]))
+        if how == "odd" and keys:
+            row[draw(st.sampled_from(keys))] = draw(st.sampled_from(_ODD_CELLS))
+        elif how == "missing" and keys:
+            del row[draw(st.sampled_from(keys))]
+        else:
+            row[draw(json_strings.filter(lambda k: k not in keys))] = draw(json_scalars)
+    return rows, changes > 0
+
+
+@settings(max_examples=300, derandomize=True)
+@given(row_lists())
+def test_render_report_matches_json_dumps_on_row_lists(case):
+    rows, perturbed = case
+    for tree in (rows, {"rows": rows, "n": len(rows)}, [rows]):
+        assert render_report(tree) == json_report_text(tree)
+    # an unperturbed table of two columns or more takes the column path
+    if not perturbed and len(rows[0]) >= 2:
+        assert _render_table(rows, "  ") is not None
 
 
 def test_render_report_matches_json_dumps_on_shipped_reports():

@@ -1,13 +1,15 @@
 import inspect
 import random
 import threading
+import time
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from nilorbit.errors import MixedFieldError
+from nilorbit.errors import MixedFieldError, UnsupportedInputError
 from nilorbit.exactmath import QuadExt, is_integral, parse_scalar, quad_parts, scalars
+from nilorbit.exactmath.scalars import SQUARE_FREE_TRIAL_BOUND
 from nilorbit.torus import relative_order
 
 
@@ -36,6 +38,31 @@ def test_square_factor_rejected_without_factoring():
     worker.join(timeout=10)
     assert not worker.is_alive(), "is_square_free is factoring d"
     assert len(errors) == 1 and "square-free" in str(errors[0])
+
+
+def test_square_free_undecided_past_trial_bound():
+    """p = 10**39 + 3 is prime, so no square factor turns up below the trial
+    bound, and deciding it by trial division would not finish: it is refused
+    with a typed error that names the bound.  Trial division up to 10**6 takes
+    about 0.2 s; the wall-clock bound leaves room for a loaded machine."""
+    errors = []
+
+    def build():
+        try:
+            QuadExt.sqrt(10**39 + 3)
+        except UnsupportedInputError as exc:
+            errors.append(exc)
+
+    start = time.perf_counter()
+    worker = threading.Thread(target=build, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    elapsed = time.perf_counter() - start
+    assert not worker.is_alive(), "is_square_free trial-divides past its bound"
+    assert len(errors) == 1 and str(SQUARE_FREE_TRIAL_BOUND) in str(errors[0])
+    assert elapsed < 5, elapsed
+    # a product of two primes near the bound is still decided
+    assert QuadExt.sqrt(999983 * 1000003).d == 999983 * 1000003
 
 
 def test_basic_identities():
