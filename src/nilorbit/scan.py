@@ -68,7 +68,8 @@ def _sweep(fixture, endo_name, m: int, exact_order: bool):
         keys, order = range(len(states)), None
         if exact_order:
             orders = grid.orders(zip(*states))
-            keys, order = [k for k in keys if orders[k] == m], orders.__getitem__
+            keys = list(itertools.compress(keys, map(m.__eq__, orders)))
+            order = orders.__getitem__
         memo, succ = grid.sweep(keys)
         return list(zip(map(states.__getitem__, keys), keys)), memo, order, succ.__getitem__
     grid = NilCosets(fixture.endos[endo_name], fixture.lattice, m)
@@ -90,23 +91,29 @@ def _denominator_table(payload):
     """
     fixture, endo_name, m = payload
     points, memo, order, successor = _sweep(fixture, endo_name, m, exact_order=True)
-    on_torus = isinstance(fixture, TorusFixture)
     coord = _point_strs(m)
+    if isinstance(fixture, TorusFixture):
+        # one string per grid state, indexed by its packed key; a torus row
+        # has gcd(m, a) = 1, so its relative order is m
+        by_key = list(map(",".join, itertools.product(coord, repeat=fixture.endo.dim)))
+        names = [by_key[state] for _, state in points]
+        orders = itertools.repeat(m)
+    else:
+        names = [",".join([coord[a] for a in nums]) for nums, _ in points]
+        # the order of the point itself, as its coset representative's can differ
+        orders = [grid_order(fixture.lattice, m, nums) for nums, _ in points]
     rows = []
     order_bad = None
     support_bad = None
-    for nums, state in points:
+    for (_, state), point, relative_order in zip(points, names, orders):
         pre, per = memo[state]
-        point = ",".join([coord[a] for a in nums])
         rows.append(
             {
                 "point": point,
                 "verdict": "periodic" if pre == 0 else "eventually_periodic",
                 "preperiod": pre,
                 "period": per,
-                # a torus row has gcd(m, a) = 1; on a nil grid, the order of
-                # the point itself, as its coset representative's can differ
-                "relative_order": m if on_torus else grid_order(fixture.lattice, m, nums),
+                "relative_order": relative_order,
             }
         )
         if pre == 0:
@@ -243,6 +250,15 @@ def density_report(fixture, m_max: int, endo_name=None) -> dict:
         if D != 0 and gcd(D, m) != 1:
             cells[str(m)] = {"admissible": False}
             continue
+        if D != 0 and isinstance(fixture, TorusFixture):
+            # The paper's sufficient condition, on the whole grid at once: a
+            # linear torus map with gcd(det A, m) = 1 makes x -> A x mod m a
+            # bijection of the finite set (Z/m)^n, so every point of the grid
+            # is periodic and no cell needs a sweep.  Nil grids are swept: a
+            # cell point a/m can have relative order 2m there.
+            cells[str(m)] = {"admissible": True, "cells": m ** fixture.endo.dim,
+                             "all_cells_hit": True, "missing": []}
+            continue
         points, memo, _, _ = _sweep(fixture, endo_name, m, exact_order=False)
         coord = _point_strs(m)
         missing = [
@@ -311,12 +327,15 @@ def _render_table(rows, indent: str):
     column through one template: strs through the encoder, ints into %s as
     they are.  None for any other list."""
     first = rows[0]
-    if (set(map(type, rows)) != {dict} or len(first) < 2
-            or not all(map(first.keys().__eq__, map(dict.keys, rows)))):
+    if set(map(type, rows)) != {dict} or len(first) < 2 or len(set(map(len, rows))) != 1:
         return None
     keys = tuple(sorted(first))
+    try:  # rows of one length that all hold first's keys hold no other key
+        values = list(map(itemgetter(*keys), rows))
+    except KeyError:
+        return None
     columns = []
-    for column in zip(*map(itemgetter(*keys), rows)):
+    for column in zip(*values):
         kinds = set(map(type, column))
         if kinds == {int}:
             columns.append(column)

@@ -333,10 +333,6 @@ class TorusGrid:
         FlatPoints, never need det A."""
         return self._walks[gcd(self._f.determinant, self.m) != 1]
 
-    def order(self, state) -> int:
-        """Relative order of the grid point state/m."""
-        return self.m // gcd(self.m, *state)
-
     def orders(self, columns) -> tuple[int, ...]:
         """Relative orders of the grid points of a path given as columns."""
         m = self.m

@@ -57,7 +57,7 @@ def exact_order_rows(f: TorusEndo, bound: int):
             pre, per = memo[tup]
             rows.append((m, tup, pre, per))
         for state, (pre, per) in memo.items():
-            if pre == 0 and grid.order(state) != grid.order(grid.step(state)):
+            if pre == 0 and m // gcd(m, *state) != m // gcd(m, *grid.step(state)):
                 cycle_order_ok = False
     return rows, cycle_order_ok
 

@@ -9,13 +9,15 @@ determinant of the map is periodic.
   preserve the bracket; make_endo admits those that map the lattice into
   itself, and classify_nil decides each point.
 
-Density (every admissible 1/m-cell holds a periodic point) is left out on
-purpose.  The nil density report of ``grading_2`` is known to be wrong
-(README "Known limitations"), so a density check here would fail on the
-current code, and its fix changes the pinned density reports and the
-benchmark digests together.
+Density (every admissible 1/m-cell holds a periodic point) is checked on the
+torus only: scan.density_report, which decides a cell of a map with det != 0
+by the sufficient condition alone, against a sweep of the whole grid by the
+reference step.  The nil density report of ``grading_2`` is known to be wrong
+(README "Known limitations"); a test here pins that its cells are still
+swept, so the torus shortcut cannot hide the defect.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -26,7 +28,11 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from nilorbit import nilclass2, torus  # noqa: E402
 from nilorbit.exactmath import det  # noqa: E402
+from nilorbit.fixtures import TorusFixture, shipped  # noqa: E402
 from nilorbit.nilclass2 import Class2Group, MalcevElement, make_endo  # noqa: E402
+from nilorbit.orbits import sweep_orbits  # noqa: E402
+from nilorbit.scan import density_report  # noqa: E402
+from oracles import reference_torus_step  # noqa: E402
 
 HEISENBERG = Class2Group.heisenberg()
 STANDARD = nilclass2.subgroup_generated(
@@ -87,3 +93,51 @@ def test_coprime_order_is_periodic_on_heisenberg(case):
     for g in coprime:
         cls, _ = nilclass2.classify_nil(endo, STANDARD, g)
         assert cls.periodic, (endo.matrix, g.coords, cls)
+
+
+@st.composite
+def torus_density_cases(draw):
+    """A linear map of dimension 1 to 3, singular or not, and a bound m_max
+    up to 10.  A singular map gets a last row that is a multiple of the
+    first (zero in dimension 1)."""
+    n = draw(st.integers(1, 3))
+    A = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    if draw(st.booleans()):
+        k = draw(st.integers(-2, 2))
+        A[-1] = [k * a for a in A[0]] if n > 1 else [0]
+    else:
+        assume(det(A) != 0)
+    return A, draw(st.integers(1, 10))
+
+
+def reference_density_cell(A, m):
+    """The density cell of the linear map A on the grid (1/m)Z^n, from a sweep
+    of every grid state by the reference step."""
+    D = abs(det(A))
+    if D != 0 and gcd(D, m) != 1:
+        return {"admissible": False}
+    states = list(itertools.product(range(m), repeat=len(A)))
+    memo = sweep_orbits(reference_torus_step(A, [0] * len(A), m), states)
+    missing = [",".join(str(Fraction(a, m)) for a in state)
+               for state in states if memo[state][0] != 0]
+    return {"admissible": True, "cells": len(states), "all_cells_hit": not missing,
+            "missing": missing}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(torus_density_cases())
+def test_torus_density_cells_match_reference_sweep(case):
+    A, m_max = case
+    fixture = TorusFixture("random", "", torus.TorusEndo(A), ())
+    cells = density_report(fixture, m_max)["cells"]
+    assert cells == {str(m): reference_density_cell(A, m) for m in range(1, m_max + 1)}, A
+
+
+def test_nil_density_cells_are_swept():
+    """A grading_2 cell point a/m can have relative order 2m, so gcd(det, m) =
+    1 does not decide the cell; the report must find the missing points."""
+    cell = density_report(shipped("heisenberg"), 4, endo_name="grading_2")["cells"]["3"]
+    assert cell["admissible"] and cell["cells"] == 27
+    assert cell["all_cells_hit"] is False
+    assert "1/3,1/3,0" in cell["missing"]
