@@ -4,7 +4,9 @@ Every dynamical state space in this library is finite once a starting point
 is fixed (denominators cannot grow), so a walk to the first repeated state
 gives exact preperiods and periods.  iterate_orbit and sweep_orbits find
 the repeat with a map from state to step index.  A system may bring its own
-walk, and a torus grid its own compiled sweep (TorusGrid.sweep), so
+walk, and a torus grid its own compiled sweep (TorusGrid.sweep).  Both
+sweeps return (memo, succ), each state's (preperiod, period) and its
+successor, so a scan reads a successor without stepping again;
 sweep_orbits serves nil grids and is the torus sweep's oracle in the tests.
 """
 
@@ -70,13 +72,16 @@ def orbit_verdict(walk, orders, start) -> Classification:
 
 
 def sweep_orbits(step: Callable[[State], State], states: Iterable[State]):
-    """(preperiod, period) for every given state, sharing work across orbits.
+    """(memo, succ) for the given states, sharing work across orbits.
 
-    Classic functional-graph walk with memoization: each state is visited a
-    bounded number of times, so classifying a whole denominator grid costs
-    O(#states) steps instead of one full orbit per point.
+    memo[x] is (preperiod, period) and succ[x] = step(x), for every state x
+    reached from the starts.  Classic functional-graph walk with
+    memoization: each state is stepped once, so classifying a whole
+    denominator grid costs O(#states) steps instead of one full orbit per
+    point.
     """
     memo: dict = {}
+    succ: dict = {}
     for start in states:
         if start in memo:
             continue
@@ -84,7 +89,8 @@ def sweep_orbits(step: Callable[[State], State], states: Iterable[State]):
         x = start
         while x not in memo and x not in index:
             index[x] = len(index)
-            x = step(x)
+            # targets bind left to right: succ[old x], then x
+            succ[x] = x = step(x)
         if x in index:
             mu = index[x]
             lam = len(index) - mu
@@ -97,7 +103,7 @@ def sweep_orbits(step: Callable[[State], State], states: Iterable[State]):
             dist = len(index) + pre
             for s, i in index.items():
                 memo[s] = (dist - i, lam)
-    return memo
+    return memo, succ
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,19 @@ across runs and --workers settings.
 
 from __future__ import annotations
 
-import itertools
 import json
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain, compress, product, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
-from operator import itemgetter
+from operator import floordiv, itemgetter
 
 from .errors import UnsupportedInputError
 from .exactmath import prime_support
 from .fixtures import NilFixture, TorusFixture
 from .nilclass2 import NilCosets, grid_order
 from .orbits import Classification, sweep_orbits
-from .torus import TorusGrid, TranslationVerdict, translation_periodicity
+from .torus import TorusGrid
 
 SCHEMA_VERSION = 1
 
@@ -56,29 +56,38 @@ def _describe(fixture, endo_name, command: str):
 
 
 def _sweep(fixture, endo_name, m: int, exact_order: bool):
-    """([(nums, state)], memo, order, successor) over the points a/m in
-    lexicographic order of a: all, or with exact_order those with gcd(m, a) = 1
-    (on the torus, of relative order exactly m).  memo[state] is (preperiod,
-    period), order a state's relative order (on the torus, None unless
-    exact_order).  A torus state is a packed in base m, its index in that
-    order; a nil state the coset of exp(a/m)."""
-    if isinstance(fixture, TorusFixture):
-        grid = TorusGrid(fixture.endo, m)
-        states = list(itertools.product(range(m), repeat=fixture.endo.dim))
-        keys, order = range(len(states)), None
-        if exact_order:
-            orders = grid.orders(zip(*states))
-            keys = list(itertools.compress(keys, map(m.__eq__, orders)))
-            order = orders.__getitem__
-        memo, succ = grid.sweep(keys)
-        return list(zip(map(states.__getitem__, keys), keys)), memo, order, succ.__getitem__
-    grid = NilCosets(fixture.endos[endo_name], fixture.lattice, m)
-    states = itertools.product(range(m), repeat=fixture.group.dim)
+    """(names, indices, states, orders, memo, succ, order) of the grid a/m.
+
+    A point is named by its index, a packed in base m: names[i] is its
+    report string.  indices lists every point, or with exact_order those
+    with gcd(m, a) = 1, whose relative orders `orders` yields.  states[j]
+    is the state of point indices[j]: the index on the torus, the coset of
+    exp(a/m) on nil.  memo[x], succ[x] and order(x) are a swept state's
+    (preperiod, period), successor and relative order.
+    """
+    torus = isinstance(fixture, TorusFixture)
+    n = fixture.endo.dim if torus else fixture.group.dim
+    names = list(map(",".join, product(_point_strs(m), repeat=n)))
+    # coordinate j of every index: each numerator m**(n-1-j) times, m**j times over
+    columns = [list(chain.from_iterable(map(repeat, range(m), repeat(m ** (n - 1 - j))))) * m ** j
+               for j in range(n)]
+    gcds = list(map(gcd, repeat(m), *columns))
+    indices = range(m ** n)
     if exact_order:
-        states = (nums for nums in states if gcd(m, *nums) == 1)
-    points = [(nums, grid.encode(nums)) for nums in states]
-    memo = sweep_orbits(grid.step, [state for _, state in points])
-    return points, memo, grid.order, grid.step
+        indices = list(compress(indices, map((1).__eq__, gcds)))
+    if torus:
+        grid = TorusGrid(fixture.endo, m)
+        states, orders, sweep = indices, repeat(m), grid.sweep
+        order = list(map(floordiv, repeat(m), gcds)).__getitem__
+    else:
+        grid = NilCosets(fixture.endos[endo_name], fixture.lattice, m)
+        nums = list(product(range(m), repeat=n))
+        states = [grid.encode(nums[i]) for i in indices]
+        # the order of the point itself, as its coset representative's can differ
+        orders = (grid_order(fixture.lattice, m, nums[i]) for i in indices)
+        sweep, order = partial(sweep_orbits, grid.step), grid.order
+    memo, succ = sweep(states)
+    return names, indices, states, orders, memo, succ, order
 
 
 def _denominator_table(payload):
@@ -90,26 +99,17 @@ def _denominator_table(payload):
     relative order, or another prime support of it.
     """
     fixture, endo_name, m = payload
-    points, memo, order, successor = _sweep(fixture, endo_name, m, exact_order=True)
-    coord = _point_strs(m)
-    if isinstance(fixture, TorusFixture):
-        # one string per grid state, indexed by its packed key; a torus row
-        # has gcd(m, a) = 1, so its relative order is m
-        by_key = list(map(",".join, itertools.product(coord, repeat=fixture.endo.dim)))
-        names = [by_key[state] for _, state in points]
-        orders = itertools.repeat(m)
-    else:
-        names = [",".join([coord[a] for a in nums]) for nums, _ in points]
-        # the order of the point itself, as its coset representative's can differ
-        orders = [grid_order(fixture.lattice, m, nums) for nums, _ in points]
+    names, indices, states, orders, memo, succ, order = _sweep(
+        fixture, endo_name, m, exact_order=True
+    )
     rows = []
     order_bad = None
     support_bad = None
-    for (_, state), point, relative_order in zip(points, names, orders):
+    for i, state, relative_order in zip(indices, states, orders):
         pre, per = memo[state]
         rows.append(
             {
-                "point": point,
+                "point": names[i],
                 "verdict": "periodic" if pre == 0 else "eventually_periodic",
                 "preperiod": pre,
                 "period": per,
@@ -118,13 +118,13 @@ def _denominator_table(payload):
         )
         if pre == 0:
             o1 = order(state)
-            o2 = order(successor(state))
+            o2 = order(succ[state])
             # equal orders have equal prime support
             if o1 != o2:
                 if order_bad is None:
-                    order_bad = point
+                    order_bad = names[i]
                 if support_bad is None and prime_support(o1) != prime_support(o2):
-                    support_bad = point
+                    support_bad = names[i]
     return m, rows, order_bad, support_bad
 
 
@@ -162,15 +162,12 @@ def scan_report(fixture, max_denominator: int, workers: int = 1, endo_name=None)
     payloads = [(fixture, endo_name, m) for m in range(1, max_denominator + 1)]
     results = _run_jobs(_denominator_table, payloads, workers)
 
-    tables = {}
-    all_rows = []
-    order_bad = None
-    support_bad = None
-    for m, rows, table_order_bad, table_support_bad in results:
-        tables[str(m)] = rows
-        all_rows.extend(rows)
-        order_bad = order_bad or table_order_bad
-        support_bad = support_bad or table_support_bad
+    tables = {str(m): rows for m, rows, _, _ in results}
+    all_rows = list(chain.from_iterable(tables.values()))
+    # the first counterexample of each kind, by denominator
+    _, _, order_bads, support_bads = zip(*results)
+    order_bad = next(filter(None, order_bads), None)
+    support_bad = next(filter(None, support_bads), None)
 
     assertions = {
         "every_point_classified": _assertion(True, len(all_rows)),
@@ -183,21 +180,12 @@ def scan_report(fixture, max_denominator: int, workers: int = 1, endo_name=None)
             order_bad is None, len(all_rows), order_bad
         )
     if D != 0:
-        bad = None
-        checked = 0
-        for row in all_rows:
-            if gcd(D, row["relative_order"]) == 1:
-                checked += 1
-                if row["verdict"] != "periodic" and bad is None:
-                    bad = row
-        assertions["coprime_order_implies_periodic"] = _assertion(bad is None, checked, bad)
+        coprime = [row for row in all_rows if gcd(D, row["relative_order"]) == 1]
+        bad = next((row for row in coprime if row["verdict"] != "periodic"), None)
+        assertions["coprime_order_implies_periodic"] = _assertion(bad is None, len(coprime), bad)
     if expect.get("periodic_iff_order_coprime_to_det"):
-        bad = None
-        for row in all_rows:
-            expected = gcd(D, row["relative_order"]) == 1
-            if (row["verdict"] == "periodic") != expected:
-                bad = row
-                break
+        bad = next((row for row in all_rows if (row["verdict"] == "periodic")
+                    != (gcd(D, row["relative_order"]) == 1)), None)
         assertions["periodic_iff_order_coprime_to_det"] = _assertion(
             bad is None, len(all_rows), bad
         )
@@ -233,14 +221,12 @@ def density_report(fixture, m_max: int, endo_name=None) -> dict:
     if isinstance(fixture, TorusFixture):
         endo = fixture.endo
         if endo.is_pure_translation and endo.has_irrational_translation:
-            verdict = translation_periodicity(endo.translation)
+            # TorusEndo stores a rational QuadExt as a Fraction: b is irrational
             return {
                 "schema_version": SCHEMA_VERSION,
                 "kind": "density",
                 "fixture": fixture.name,
-                "branch": "no_periodic_points"
-                if verdict is TranslationVerdict.EMPTY
-                else "all_points_periodic",
+                "branch": "no_periodic_points",
                 "cells": {},
                 "ok": True,
             }
@@ -256,19 +242,16 @@ def density_report(fixture, m_max: int, endo_name=None) -> dict:
             # bijection of the finite set (Z/m)^n, so every point of the grid
             # is periodic and no cell needs a sweep.  Nil grids are swept: a
             # cell point a/m can have relative order 2m there.
-            cells[str(m)] = {"admissible": True, "cells": m ** fixture.endo.dim,
-                             "all_cells_hit": True, "missing": []}
-            continue
-        points, memo, _, _ = _sweep(fixture, endo_name, m, exact_order=False)
-        coord = _point_strs(m)
-        missing = [
-            ",".join([coord[a] for a in nums])
-            for nums, state in points
-            if memo[state][0] != 0
-        ]
+            size, missing = m ** fixture.endo.dim, []
+        else:
+            names, indices, states, _, memo, _, _ = _sweep(
+                fixture, endo_name, m, exact_order=False
+            )
+            size = len(indices)
+            missing = [names[i] for i, state in zip(indices, states) if memo[state][0] != 0]
         cells[str(m)] = {
             "admissible": True,
-            "cells": len(points),
+            "cells": size,
             "all_cells_hit": not missing,
             "missing": missing,
         }

@@ -424,6 +424,16 @@ def _period_solution(G, Mk, b):
     return None if solution is None else quad_vector(*solution, d)
 
 
+def _first_period_solution(A, b, bound: int):
+    """(k, x) for the least k <= bound whose period-k equation (see
+    _period_solution) has a solution x, or None."""
+    for k, (G, Mk) in zip(range(1, bound + 1), _period_systems(A)):
+        x = _period_solution(G, Mk, b)
+        if x is not None:
+            return k, x
+    return None
+
+
 class TranslationVerdict(enum.Enum):
     ALL_POINTS_PERIODIC = "all_points_periodic"
     EMPTY = "empty"
@@ -481,9 +491,9 @@ def has_periodic_point(f: TorusEndo, k_max: int = 64) -> PeriodicPointSearch:
         return PeriodicPointSearch("yes", k=k0)
     if not has_unity_eigenvalue(f.linear):
         return PeriodicPointSearch("yes", k=1)
-    for k, (G, Mk) in zip(range(1, k_max + 1), _period_systems(f.linear)):
-        if _period_solution(G, Mk, f.translation) is not None:
-            return PeriodicPointSearch("yes", k=k)
+    found = _first_period_solution(f.linear, f.translation, k_max)
+    if found is not None:
+        return PeriodicPointSearch("yes", k=found[0])
     return PeriodicPointSearch("unknown", bound=k_max)
 
 
@@ -536,17 +546,13 @@ def eventually_periodic_set(f: TorusEndo, k_bound: int | None = None) -> Eventua
     b = f.translation_fractions()
     if k_bound is None:
         k_bound = max(1, lcm(*root_of_unity_orders(f.dim)) * relative_order(b))
-    g0 = None
-    for _, (G, Mk) in zip(range(k_bound), _period_systems(f.linear)):
-        g0 = _period_solution(G, Mk, b)
-        if g0 is not None:
-            break
-    if g0 is None:
+    found = _first_period_solution(f.linear, b, k_bound)
+    if found is None:
         raise SearchBoundExceededError(
             f"no periodic point found among iterates k <= {k_bound}", k_bound
         )
     H = unity_subspace(f.linear, include_kernel=f.determinant == 0)
-    return EventuallyPeriodicSet(TorusPoint(tuple(g0)), H)
+    return EventuallyPeriodicSet(TorusPoint(tuple(found[1])), H)
 
 
 def order_coprime_to_det(f: TorusEndo, q) -> bool:

@@ -50,7 +50,7 @@ def exact_order_rows(f: TorusEndo, bound: int):
     cycle_order_ok = True
     for m in range(1, bound + 1):
         grid = TorusGrid(f, m)
-        memo = sweep_orbits(grid.step, itertools.product(range(m), repeat=n))
+        memo, _ = sweep_orbits(grid.step, itertools.product(range(m), repeat=n))
         for tup in itertools.product(range(m), repeat=n):
             if gcd(m, *tup) != 1:
                 continue

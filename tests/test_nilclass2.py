@@ -32,7 +32,7 @@ from nilorbit.nilclass2 import (
     subgroup_index,
     unity_subalgebra,
 )
-from nilorbit.scan import density_report, render_report, scan_report
+from nilorbit.scan import _denominator_table, density_report, render_report, scan_report
 
 G = Class2Group.heisenberg()
 X = MalcevElement(G, [1, 0, 0])
@@ -510,3 +510,30 @@ def test_nil_reports_pinned():
             report = density_report(fx, pin["bound"], endo_name=pin["endo"])
         digest = hashlib.sha256(render_report(report).encode()).hexdigest()
         assert digest == pin["sha256"], pin
+
+
+def test_nil_scan_steps_each_state_once(monkeypatch):
+    # the cycle check reads each periodic row's successor from the sweep
+    stepped = []
+    init = NilCosets.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        step = self.step
+
+        def recorded(state):
+            stepped.append(state)
+            return step(state)
+
+        self.step = recorded
+
+    monkeypatch.setattr(NilCosets, "__init__", recording_init)
+    fx = shipped("heisenberg")
+    periodic = 0
+    for endo_name in ("automorphism", "grading_2"):
+        for m in range(1, 5):
+            stepped.clear()
+            _, rows, _, _ = _denominator_table((fx, endo_name, m))
+            periodic += sum(row["verdict"] == "periodic" for row in rows)
+            assert stepped and len(stepped) == len(set(stepped)), (endo_name, m)
+    assert periodic

@@ -293,8 +293,9 @@ def _packed(state, m):
 def test_torus_sweep_matches_sweep_orbits(case, data):
     """The compiled sweep against sweep_orbits on the same grid, on every
     state: the same (preperiod, period) for each state either one reaches,
-    and the packed key of the reference step as its successor.  The starts
-    are the whole grid, its points of exact order m, or a few keys."""
+    and the same successor, which is the packed key of the reference step.
+    The starts are the whole grid, its points of exact order m, or a few
+    keys."""
     A, b, m, _ = case
     grid = TorusGrid(TorusEndo(A, b), m)
     step = reference_torus_step(A, b, m)
@@ -307,13 +308,14 @@ def test_torus_sweep_matches_sweep_orbits(case, data):
     else:
         keys = data.draw(st.lists(st.integers(0, len(states) - 1), min_size=1, max_size=12))
     memo, succ = grid.sweep(keys)
-    reference = sweep_orbits(grid.step, [states[k] for k in keys])
+    reference, reference_succ = sweep_orbits(grid.step, [states[k] for k in keys])
     assert len(memo) == len(succ) == len(states)
+    assert reference_succ.keys() == reference.keys()
     for key, state in enumerate(states):
         assert _packed(state, m) == key
         if state in reference:
             assert memo[key] == reference[state], (state, memo[key], reference[state])
-            assert succ[key] == _packed(step(state), m)
+            assert succ[key] == _packed(step(state), m) == _packed(reference_succ[state], m)
         else:
             assert memo[key] is None and succ[key] is None
     # on a bijective grid every walk closes at its start: no state has a tail
@@ -335,7 +337,7 @@ def test_torus_sweep_pinned_cases():
     for name, (f, m) in cases.items():
         grid = TorusGrid(f, m)
         states = list(itertools.product(range(m), repeat=2))
-        reference = sweep_orbits(grid.step, states)
+        reference, _ = sweep_orbits(grid.step, states)
         memo, succ = results[name] = grid.sweep(range(m * m))
         assert memo == [reference[state] for state in states]
         assert succ == [_packed(grid.step(state), m) for state in states]
@@ -502,17 +504,18 @@ def functional_graphs(draw):
 def test_sweep_and_iterate_orbit_match_naive_walk(graph, data):
     step = graph.__getitem__
     starts = data.draw(st.lists(st.sampled_from(sorted(graph)), min_size=1))
-    memo = sweep_orbits(step, starts)
+    memo, succ = sweep_orbits(step, starts)
     visited = set()
     for start in starts:
         mu, lam, path = naive_orbit(step, start)
         assert iterate_orbit(step, start) == (mu, lam, path)
         visited.update(path)
-    # every state the sweep walked through is classified too
-    assert set(memo) == visited
+    # every state the sweep walked through is classified too, with its successor
+    assert set(memo) == set(succ) == visited
     for state, (pre, per) in memo.items():
         mu, lam, _ = naive_orbit(step, state)
         assert (pre, per) == (mu, lam)
+        assert succ[state] == step(state)
 
 
 def _nil_systems():

@@ -118,7 +118,7 @@ def reference_density_cell(A, m):
     if D != 0 and gcd(D, m) != 1:
         return {"admissible": False}
     states = list(itertools.product(range(m), repeat=len(A)))
-    memo = sweep_orbits(reference_torus_step(A, [0] * len(A), m), states)
+    memo, _ = sweep_orbits(reference_torus_step(A, [0] * len(A), m), states)
     missing = [",".join(str(Fraction(a, m)) for a in state)
                for state in states if memo[state][0] != 0]
     return {"admissible": True, "cells": len(states), "all_cells_hit": not missing,

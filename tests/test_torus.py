@@ -338,7 +338,7 @@ def test_coprime_order_implies_periodic_small_sweep():
             if gcd(m, abs(D)) != 1:
                 continue
             grid = TorusGrid(f, m)
-            memo = sweep_orbits(grid.step, itertools.product(range(m), repeat=n))
+            memo, _ = sweep_orbits(grid.step, itertools.product(range(m), repeat=n))
             for state, (pre, per) in memo.items():
                 assert pre == 0, (A, state, m)
 
