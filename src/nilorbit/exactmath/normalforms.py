@@ -16,17 +16,11 @@ from ..errors import LatticeError, MixedFieldError
 
 
 def _as_int_matrix(M) -> list[list[int]]:
-    rows, cols = mat_shape(M)
-    out = []
-    for row in M:
-        new = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError(f"integer matrix expected, got entry {x}")
-            new.append(int(f))
-        out.append(new)
-    return out
+    mat_shape(M)
+    rows, d = integral_rows(M)
+    if d != 1:
+        raise ValueError(f"integer matrix expected, got an entry with denominator {d}")
+    return [list(row) for row in rows]
 
 
 def hnf(M) -> tuple[list[list[int]], list[list[int]]]:

@@ -3,11 +3,11 @@
 Schemas (fractions are "p/q" strings; quadratic scalars are
 {"a": "p/q", "b": "p/q", "d": int} for a + b*sqrt(d)):
 
-  torus:  {"n": int, "A": [[int]], "b": [scalar], "points": [[frac]]}
+  torus:  {"n": int >= 1, "A": [[int]], "b": [scalar], "points": [[frac]]}
   cover:  torus keys plus "L_basis": [[int]]
   nil:    {"dim": m, "bracket": {"i,j": [frac]}, "lattice_basis": [[frac]],
            "endos": {"name": [[frac]]}}   (indices 0-based)
-  infra:  {"n": int, "reps": [{"F": [[int]], "t": [frac]}],
+  infra:  {"n": int >= 1, "reps": [{"F": [[int]], "t": [frac]}],
            "endo": {"A": [[int]], "b": [frac]}}
 
 "name", "description" and "expect" are optional metadata; the fixture kind is
@@ -123,10 +123,20 @@ def _parse_int_matrix(rows):
     return [[parse_integer(x) for x in row] for row in rows]
 
 
+def _dimension(doc: dict) -> int:
+    """The "n" of a torus, cover or flat fixture, which must be at least 1
+    (a zero-dimensional grid has one point but no columns to sweep)."""
+    n = parse_integer(doc["n"])
+    if n < 1:
+        raise InvalidFixtureError(f"fixture has n = {doc['n']}, but n must be at least 1")
+    return n
+
+
 def _torus_endo(doc: dict) -> TorusEndo:
     """The map of a torus or cover fixture, whose "n" must be its dimension."""
+    n = _dimension(doc)
     endo = TorusEndo(_parse_int_matrix(doc["A"]), _parse_vector(doc["b"]))
-    if parse_integer(doc["n"]) != endo.dim:
+    if n != endo.dim:
         raise InvalidFixtureError(f"fixture has n = {doc['n']}, but A has {endo.dim} rows")
     return endo
 
@@ -193,7 +203,7 @@ def build_fixture(doc: dict, default_name: str = "inline"):
                 (_parse_int_matrix(rep["F"]), [Fraction(str(x)) for x in rep["t"]])
                 for rep in doc["reps"]
             ]
-            group = validate_bieberbach(parse_integer(doc["n"]), reps)
+            group = validate_bieberbach(_dimension(doc), reps)
             endo_doc = doc["endo"]
             endo = validate_endo(
                 group,

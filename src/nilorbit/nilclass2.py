@@ -223,7 +223,10 @@ class LatticeSubgroup:
         central_span = SubspaceQ.from_vectors(m, [list(v) for v in rows[m - r:]])
         if central_span.dim != r:
             raise LatticeError("central basis rows are linearly dependent")
-        if self._ab_matrix_inv is None:
+        # The central rows are independent and lie in the derived directions,
+        # which the quotient map kills; so B is invertible iff the leading
+        # rows project to a basis of the abelianization.
+        if self._full_matrix_inv is None:
             raise LatticeError(
                 "leading basis rows do not project to an abelianization basis"
             )
@@ -275,56 +278,44 @@ class LatticeSubgroup:
         return integral_rows(mat_transpose([list(r) for r in self.basis]))
 
     @cached_property
-    def _ab_matrix_inv(self):
-        cols = [self.group.quotient_coords(row) for row in self.horizontal_rows]
-        return invert_rational(mat_transpose(cols))
-
-    @cached_property
-    def _central_matrix_inv(self):
-        if self.central_rank == 0:
-            return []
-        cols = [self.group.derived.coefficients_of(row) for row in self.central_rows]
-        return invert_rational(mat_transpose(cols))
-
-    @cached_property
     def _full_matrix_inv(self):
         return invert_rational(mat_transpose([list(r) for r in self.basis]))
 
+    def coords_in_basis(self, vec) -> list[Fraction]:
+        """The lattice-basis coordinates y of X = vec (X = B^T y), from
+        integral_inverse = (P, d) and the integer form w/D of X."""
+        P, d = self.integral_inverse
+        (w,), D = integral_rows([vec])
+        den = d * D
+        return [Fraction(sum(map(operator.mul, row, w)), den) for row in P]
+
     def ab_coords(self, vec) -> list[Fraction]:
-        """Coefficients of vec in the projected horizontal basis."""
-        return mat_vec(self._ab_matrix_inv, self.group.quotient_coords(vec))
+        """Coefficients of vec in the projected horizontal basis: the leading
+        lattice-basis coordinates, since the central rows project to zero."""
+        return self.coords_in_basis(vec)[: len(self.horizontal_rows)]
 
     def central_coeffs(self, vec) -> list[Fraction]:
         """Coefficients of a derived-direction vector in the central rows."""
-        coords = self.group.derived.coefficients_of(vec)
-        if coords is None:
+        y = self.coords_in_basis(vec)
+        k = len(self.horizontal_rows)
+        if any(y[:k]):
             raise ValueError("vector is not in the derived directions")
-        if self.central_rank == 0:
-            return []
-        return mat_vec(self._central_matrix_inv, coords)
-
-    def coords_in_basis(self, vec) -> list[Fraction]:
-        return mat_vec(self._full_matrix_inv, list(vec))
-
-    def horizontal_product(self, exponents) -> MalcevElement:
-        """Ordered product of exp(t_i b_i) over the horizontal rows."""
-        return _horizontal_product(self.group, self.horizontal_rows, exponents)
-
-    def central_combination(self, coeffs) -> list[Fraction]:
-        return _combination(self.group.dim, coeffs, self.central_rows)
+        return y[k:]
 
     def normal_form(self, g: MalcevElement):
         """(a, c): g = (ordered horizontal product with exponents a) * exp(sum c_k z_k).
 
         Both exponent vectors are rational; g is in the lattice iff both are
-        integral.
+        integral.  The BCH product keeps this independent of NilCosets'
+        integer normal form.
         """
+        k = len(self.horizontal_rows)
         a = self.ab_coords(g.coords)
-        w = bch_mul(bch_inv(self.horizontal_product(a)), g)
-        if not vec_is_zero(self.group.quotient_coords(w.coords)):
+        w = bch_mul(bch_inv(_horizontal_product(self.group, self.horizontal_rows, a)), g)
+        y = self.coords_in_basis(w.coords)
+        if any(y[:k]):
             raise ConsistencyError("normal form residual is not central", payload=g)
-        c = self.central_coeffs(list(w.coords))
-        return a, c
+        return a, y[k:]
 
     def contains(self, g: MalcevElement) -> bool:
         a, c = self.normal_form(g)
@@ -341,10 +332,10 @@ class LatticeSubgroup:
         """
         a = self.ab_coords(g.coords)
         k = [Fraction(floor(x)) for x in a]
-        g1 = bch_mul(bch_inv(self.horizontal_product(k)), g)
+        g1 = bch_mul(bch_inv(_horizontal_product(self.group, self.horizontal_rows, k)), g)
         _, c1 = self.normal_form(g1)
         l = [Fraction(floor(x)) for x in c1]
-        shift = self.central_combination([-x for x in l])
+        shift = _combination(self.group.dim, [-x for x in l], self.central_rows)
         return MalcevElement(self.group, [x + s for x, s in zip(g1.coords, shift)])
 
 

@@ -42,12 +42,10 @@ from .exactmath import (
     mat_add,
     mat_identity,
     mat_mul,
-    mat_pow,
     mat_shape,
     mat_sub,
     mat_transpose,
     mat_vec,
-    maximal_root_of_unity_orders,
     quad_vector,
     rational_kernel,
     root_of_unity_orders,
@@ -466,31 +464,23 @@ class PeriodicPointSearch:
         return f"UnknownUpTo({self.bound})"
 
 
-def has_unity_eigenvalue(A) -> bool:
-    """True iff some eigenvalue of A is a root of unity: det(A^d - I) = 0 for
-    one of the maximal orders d, since every order a root-of-unity eigenvalue
-    can have divides one of them (see eventually_fixed_subspace).  The orders
-    are tried in turn up to the first zero determinant."""
-    ident = mat_identity(len(A))
-    return any(det(mat_sub(mat_pow(A, d), ident)) == 0
-               for d in maximal_root_of_unity_orders(len(A)))
-
-
 def has_periodic_point(f: TorusEndo, k_max: int = 64) -> PeriodicPointSearch:
-    """Decide existence of a periodic point where the structure theory allows.
+    """Decide existence of a periodic point by a search over iterates k <= k_max.
 
-    Exact answers: pure translations (periodic points exist iff the
-    translation is rational) and maps without root-of-unity eigenvalues
-    (a fixed point always exists since A - I is invertible).  Otherwise a
-    bounded search over iterates with an honest UnknownUpTo verdict.
+    A pure translation is decided exactly: periodic points exist iff the
+    translation is rational (else Empty).  Every other map goes to the
+    period-k solves in turn.  Without a root-of-unity eigenvalue, A - I is
+    invertible over Q, so the k = 1 solve always succeeds (Yes(k=1)).  With
+    one, a solution for some k <= k_max gives Yes(k), and none gives the
+    honest bounded answer UnknownUpTo(k_max).  k_max < 1 raises ValueError.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
     if f.is_pure_translation:
         if translation_periodicity(f.translation) is TranslationVerdict.EMPTY:
             return PeriodicPointSearch("empty")
         k0 = relative_order(f.translation)
         return PeriodicPointSearch("yes", k=k0)
-    if not has_unity_eigenvalue(f.linear):
-        return PeriodicPointSearch("yes", k=1)
     found = _first_period_solution(f.linear, f.translation, k_max)
     if found is not None:
         return PeriodicPointSearch("yes", k=found[0])

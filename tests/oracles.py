@@ -6,7 +6,8 @@ elimination over Fraction, lattice membership by greedy triangular reduction,
 totients by coprime counting, orbits by direct Fraction iteration, grid
 steps row by row, cycle detection by list search, orbit transcripts one
 state at a time, nil relative orders by stepping through multiples, nil
-orbits by Fraction BCH products,
+lattice coordinates stage by stage (quotient first, derived directions
+second), nil orbits by Fraction BCH products,
 flat-manifold orbits by a Fraction min over holonomy images, cover fibers
 point by point through a full torus classify, periodic-point searches with
 the geometric sum rebuilt for every k, and report text by the standard
@@ -36,7 +37,7 @@ from nilorbit.exactmath import (
     mat_vec,
     snf,
 )
-from nilorbit.nilclass2 import MalcevElement, apply_endo, bch_pow
+from nilorbit.nilclass2 import MalcevElement, apply_endo, bch_inv, bch_mul, bch_pow, identity
 from nilorbit.torus import TorusPoint, classify, lattice_coordinates
 
 
@@ -323,6 +324,46 @@ def random_unimodular_matrix(rng, n, ops=12):
     return M
 
 
+def reference_solve(columns, v):
+    """x with sum x_i columns[i] = v for independent columns, by
+    reference_rref of the augmented system; None when v is outside their
+    span."""
+    rows = reference_rref([[col[j] for col in columns] + [v[j]] for j in range(len(v))])
+    if any(all(x == 0 for x in row[:-1]) for row in rows):  # a pivot in the last column
+        return None
+    return [row[-1] for row in rows]
+
+
+def reference_ab_coords(N, vec):
+    """Coefficients of vec in the projected horizontal rows, stage one:
+    quotient coordinates modulo the derived directions."""
+    q = N.group.quotient_coords
+    return reference_solve([q(row) for row in N.horizontal_rows], q(vec))
+
+
+def reference_central_coeffs(N, vec):
+    """Coefficients of vec in the central rows, stage two: coordinates in
+    the derived directions' basis; None when vec is outside them."""
+    derived = N.group.derived
+    coords = derived.coefficients_of(list(vec))
+    if coords is None:
+        return None
+    return reference_solve([derived.coefficients_of(list(r)) for r in N.central_rows], coords)
+
+
+def reference_normal_form(N, g):
+    """(a, c) with g = exp(a_0 h_0) exp(a_1 h_1) ... * exp(sum c_l z_l): a
+    from stage one, then c from stage two on the residual of the ordered
+    horizontal product."""
+    a = reference_ab_coords(N, g.coords)
+    h = identity(N.group)
+    for t, row in zip(a, N.horizontal_rows):
+        h = bch_mul(h, bch_pow(MalcevElement(N.group, row), t))
+    c = reference_central_coeffs(N, bch_mul(bch_inv(h), g).coords)
+    assert c is not None, "normal form residual is not central"
+    return a, c
+
+
 def nil_relative_order_search(N, g):
     """Least s >= 1 with g^s in N, by certified bounded search.
 
@@ -342,9 +383,9 @@ def nil_relative_order_search(N, g):
     )
 
 
-def nil_reference_walk(delta, N, g):
-    """(preperiod, period, coords, orders) of the coset N g, walking the
-    Fraction canonical representatives N.canonical_rep(delta(x))."""
+def nil_reference_path(delta, N, g):
+    """(preperiod, period, path) of the coset N g, walking the Fraction
+    canonical representatives N.canonical_rep(delta(x))."""
     x = N.canonical_rep(g)
     index = {}
     path = []
@@ -353,8 +394,15 @@ def nil_reference_walk(delta, N, g):
         path.append(x)
         x = N.canonical_rep(apply_endo(delta, x))
     mu = index[x.coords]
+    return mu, len(path) - mu, path
+
+
+def nil_reference_walk(delta, N, g):
+    """(preperiod, period, coords, orders) of nil_reference_path, with each
+    state's relative order by nil_relative_order_search."""
+    mu, lam, path = nil_reference_path(delta, N, g)
     orders = [nil_relative_order_search(N, p) for p in path]
-    return mu, len(path) - mu, [p.coords for p in path], orders
+    return mu, lam, [p.coords for p in path], orders
 
 
 def flat_reference_walk(group, endo, x):

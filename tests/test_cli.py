@@ -215,6 +215,29 @@ def test_cli_rejects_fixture_of_another_dimension(tmp_path, capsys):
             assert err.startswith("bad fixture:") and "Traceback" not in err, err
 
 
+ZERO_DIMENSIONAL = [
+    {"n": 0, "A": [], "b": []},
+    {"n": 0, "A": [], "b": [], "L_basis": []},
+    {"n": 0, "reps": [{"F": [], "t": []}], "endo": {"A": [], "b": []}},
+]
+
+
+@pytest.mark.parametrize("doc", ZERO_DIMENSIONAL, ids=["torus", "cover", "flat"])
+def test_zero_dimensional_fixture_is_refused(doc, tmp_path, capsys):
+    # a grid with no columns has nothing to sweep; n = 0 is bad input (exit 2)
+    with pytest.raises(InvalidFixtureError, match="at least 1"):
+        build_fixture(doc)
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ["classify", "--fixture", str(path), "--point", "0"],
+        ["density", "--fixture", str(path), "--m-max", "3"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("bad fixture:") and "Traceback" not in err, err
+
+
 def test_cli_exit_code_unsupported_input():
     out = run_cli(
         "classify",

@@ -77,7 +77,10 @@ from oracles import (  # noqa: E402
     nil_reference_transcript,
     nil_reference_walk,
     nil_relative_order_search,
+    reference_ab_coords,
+    reference_central_coeffs,
     reference_classify_fiber,
+    reference_normal_form,
     reference_rref,
     reference_torus_step,
     reference_transcript,
@@ -568,6 +571,25 @@ def nil_maps_and_points(draw, max_den):
 def test_nil_relative_order_matches_search(case):
     N, _, g = case
     assert relative_order(N, g) == nil_relative_order_search(N, g)
+
+
+@settings(max_examples=150)
+@given(nil_maps_and_points(12), st.data())
+def test_lattice_coordinates_match_stagewise_reference(case, data):
+    """ab_coords, central_coeffs and normal_form, all read from the one
+    integer inverse, against the quotient-then-derived reference."""
+    N, _, g = case
+    assert N.ab_coords(g.coords) == reference_ab_coords(N, g.coords)
+    assert N.normal_form(g) == reference_normal_form(N, g)
+    expected = reference_central_coeffs(N, g.coords)  # None off the derived directions
+    if expected is None:
+        with pytest.raises(ValueError):
+            N.central_coeffs(g.coords)
+    else:
+        assert N.central_coeffs(g.coords) == expected
+    coeffs = data.draw(st.lists(rationals(12), min_size=N.central_rank, max_size=N.central_rank))
+    v = [sum((c * x for c, x in zip(coeffs, col)), Fraction(0)) for col in zip(*N.central_rows)]
+    assert N.central_coeffs(v) == reference_central_coeffs(N, v) == coeffs
 
 
 @settings(max_examples=60)

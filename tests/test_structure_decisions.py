@@ -37,7 +37,6 @@ from nilorbit.torus import (  # noqa: E402
     equalizer_membership,
     eventually_periodic_set,
     has_periodic_point,
-    has_unity_eigenvalue,
     relative_order,
 )
 from oracles import (  # noqa: E402
@@ -237,8 +236,6 @@ def test_eventually_fixed_subspace_matches_all_orders(M, include_nilpotent):
     expected = reference_eventually_fixed_subspace(M, include_nilpotent)
     H = eventually_fixed_subspace(M, include_nilpotent)
     assert [list(row) for row in H.basis] == expected
-    if not include_nilpotent:
-        assert has_unity_eigenvalue(M) == bool(expected)
 
 
 # --- Smith-form solves ----------------------------------------------------------
@@ -433,13 +430,20 @@ def test_has_periodic_point_matches_per_k_oracle(A, data):
     k_max = data.draw(st.integers(1, 12))
     f = TorusEndo(A, b)
     out = has_periodic_point(f, k_max)
-    if f.is_pure_translation or not has_unity_eigenvalue(A):
+    if f.is_pure_translation:
         return  # answered exactly, without a search over k
     expected = reference_period_search(A, f.translation, k_max)
     if expected is None:
         assert (out.status, out.bound) == ("unknown", k_max)
     else:
         assert (out.status, out.k) == ("yes", expected[0])
+
+
+def test_has_periodic_point_rejects_bound_below_one():
+    # as periodic_point_of_period does for k < 1, whatever the eigenvalues
+    for A in ([[2, 1], [1, 1]], [[0, -1], [1, 0]], [[1, 0], [0, 1]]):
+        with pytest.raises(ValueError):
+            has_periodic_point(TorusEndo(A, [Fraction(1, 3), Fraction(0)]), 0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,6 +8,9 @@ determinant of the map is periodic.
   [[a, b, 0], [c, d, 0], [e, f, ad - bc]] with e and f in (1/2)Z, which
   preserve the bracket; make_endo admits those that map the lattice into
   itself, and classify_nil decides each point.
+- On the central rank 2 group and the pinned `twisted` lattice: every
+  map there with det != 0, classified by classify_nil and walked by the
+  Fraction reference nil_reference_path, which must agree.
 
 Density (every admissible 1/m-cell holds a periodic point) is checked on the
 torus only: scan.density_report, which decides a cell of a map with det != 0
@@ -32,7 +35,8 @@ from nilorbit.fixtures import TorusFixture, shipped  # noqa: E402
 from nilorbit.nilclass2 import Class2Group, MalcevElement, make_endo  # noqa: E402
 from nilorbit.orbits import sweep_orbits  # noqa: E402
 from nilorbit.scan import density_report  # noqa: E402
-from oracles import reference_torus_step  # noqa: E402
+from oracles import nil_reference_path, reference_torus_step  # noqa: E402
+from test_properties import NIL_SYSTEMS  # noqa: E402  (heisenberg, rank 2, twisted)
 
 HEISENBERG = Class2Group.heisenberg()
 STANDARD = nilclass2.subgroup_generated(
@@ -93,6 +97,34 @@ def test_coprime_order_is_periodic_on_heisenberg(case):
     for g in coprime:
         cls, _ = nilclass2.classify_nil(endo, STANDARD, g)
         assert cls.periodic, (endo.matrix, g.coords, cls)
+
+
+# maps with det != 0 on the central rank 2 group and on `twisted`
+RANK2_AND_TWISTED = [(N, endo) for N, maps in NIL_SYSTEMS[1:]
+                     for endo in maps.values() if endo.determinant != 0]
+
+
+@st.composite
+def rank2_and_twisted_cases(draw):
+    """One of those maps and random points with small denominators."""
+    N, endo = draw(st.sampled_from(RANK2_AND_TWISTED))
+    coords = st.builds(Fraction, st.integers(0, 11), st.integers(1, 6))
+    points = draw(st.lists(st.lists(coords, min_size=N.group.dim, max_size=N.group.dim),
+                           min_size=1, max_size=3))
+    return N, endo, [MalcevElement(N.group, p) for p in points]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rank2_and_twisted_cases())
+def test_coprime_order_is_periodic_on_rank2_and_twisted(case):
+    N, endo, points = case
+    coprime = [g for g in points if nilclass2.order_coprime_to_det(endo, N, g)]
+    assume(coprime)
+    for g in coprime:
+        cls, _ = nilclass2.classify_nil(endo, N, g)
+        assert cls.periodic, (endo.matrix, g.coords, cls)
+        mu, lam, _ = nil_reference_path(endo, N, g)
+        assert (cls.preperiod, cls.period) == (mu, lam), (endo.matrix, g.coords)
 
 
 @st.composite
