@@ -1,7 +1,8 @@
 """nilorbit: exact periodic-point classification for affine endomorphisms of
 tori, flat manifolds and 2-step nilmanifolds.
 
-Everything runs in exact rational arithmetic (plus one optional real
+Everything is exact: orbits are walked on integer numerators of finite
+grids, and the structure decisions run over Q (plus one optional real
 quadratic irrationality), so verdicts are decisions, not approximations.
 """
 

@@ -12,11 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import (
-    ConsistencyError,
-    InvalidFixtureError,
-    UnsupportedInputError,
-)
+from .errors import ConsistencyError, InvalidFixtureError
 from .exactmath import (
     det,
     freeze_matrix,
@@ -156,6 +152,11 @@ class InfraEndo:
     def determinant(self) -> int:
         return det(self.linear)
 
+    @cached_property
+    def lift(self) -> TorusEndo:
+        """The same affine map on the torus R^n/Z^n, built once per map."""
+        return TorusEndo(self.linear, self.translation)
+
 
 def validate_endo(group: BieberbachGroup, A, b) -> InfraEndo:
     """Admit an affine map: for each representative (F_i, t_i) there must be a
@@ -201,19 +202,6 @@ class TorusCover:
     index: int
 
 
-def fitting_lift(group: BieberbachGroup, endo: InfraEndo) -> TorusEndo:
-    """The same affine map viewed on the translation-lattice torus Z^n/R^n.
-
-    Needs an invertible linear part (then periodic fibers are periodic
-    throughout); use holonomy_power_cover for the singular regime.
-    """
-    if endo.determinant == 0:
-        raise UnsupportedInputError(
-            "Fitting lift needs an invertible linear part; use holonomy_power_cover"
-        )
-    return TorusEndo(endo.linear, endo.translation)
-
-
 def holonomy_power_cover(group: BieberbachGroup) -> TorusCover:
     """Sublattice generated by the |F|-th powers: every admitted affine map
     lifts to the corresponding torus cover.
@@ -248,19 +236,23 @@ def holonomy_power_cover(group: BieberbachGroup) -> TorusCover:
     return TorusCover(group, freeze_matrix(rows), index)
 
 
-class FlatPoints(TorusGrid):
+class FlatPoints:
     """An admissible map f on the flat manifold, walked on numerators of the
     grid (1/m)Z^n: a state is the least numerator tuple of a group orbit.
 
     Each representative (F, t) is an integer affine map on numerators, a
     state a to (F a + m t) mod m, listed in `images`; so m must also be a
-    multiple of the relative order of every t.
+    multiple of the relative order of every t.  The walk is iterate_orbit
+    over the canonical step, its path handed on as columns, so `orders` is
+    TorusGrid's.
     """
 
+    orders = TorusGrid.orders
+
     def __init__(self, group: BieberbachGroup, f: TorusEndo, m: int):
-        super().__init__(f, m)
+        self.m = m
         self.images = images = [TorusGrid(rep, m).step for rep in group.rep_maps]
-        lift = self.step
+        lift = TorusGrid(f, m).step
 
         # plain closures, not bound methods: the instance holds them, and
         # they hold no reference back to it, so no cycle waits for the gc
@@ -270,40 +262,30 @@ class FlatPoints(TorusGrid):
         def step(state):
             return canonical(lift(state))
 
-        self.canonical, self.step = canonical, step
+        def walk(start):
+            mu, lam, path = iterate_orbit(step, start)
+            return mu, lam, list(zip(*path))
 
-    def walk(self, start):
-        """iterate_orbit over the canonical step, its path as columns."""
-        mu, lam, path = iterate_orbit(self.step, start)
-        return mu, lam, list(zip(*path))
+        self.canonical, self.step, self.walk = canonical, step, walk
 
 
-def classify_infra(
-    group: BieberbachGroup, endo: InfraEndo, x, cover: str = "auto"
-) -> Classification:
+def classify_infra(group: BieberbachGroup, endo: InfraEndo, x) -> Classification:
     """Exact (preperiod, period) of a rational point on the flat manifold.
 
     The orbit is walked on least numerator tuples of group orbits (see
-    FlatPoints); the verdict is cross-checked against the classification of
-    the whole fiber in a torus cover, "fitting" (R^n/Z^n, invertible maps
-    only) or "gamma_power" (see holonomy_power_cover); "auto" picks the first
-    when the linear part is invertible.  The point is periodic iff some fiber
-    point is, and for the Fitting cover the fiber of a periodic point is
-    entirely periodic.
+    FlatPoints).  The verdict is cross-checked against the classification
+    of the whole fiber in a torus cover: the translation-lattice torus
+    R^n/Z^n (the Fitting cover) when the linear part is invertible, and
+    the cover of holonomy_power_cover otherwise.  The point is periodic iff
+    some fiber point is; over the Fitting cover the lift is invertible, so
+    the fiber of a periodic point is entirely periodic.
     """
     xs = [Fraction(v) for v in x]
     if len(xs) != group.dim:
         raise ValueError("point dimension mismatch")
-    if cover == "auto":
-        cover = "fitting" if endo.determinant != 0 else "gamma_power"
-    if cover == "fitting":
-        lift = fitting_lift(group, endo)
-        rows = mat_identity(group.dim)
-    elif cover == "gamma_power":
-        lift = TorusEndo(endo.linear, endo.translation)
-        rows = group.power_cover.lattice_rows
-    else:
-        raise ValueError(f"unknown cover {cover!r}: use 'auto', 'fitting' or 'gamma_power'")
+    lift = endo.lift
+    invertible = endo.determinant != 0
+    rows = mat_identity(group.dim) if invertible else group.power_cover.lattice_rows
 
     # numerators mod m order like the points a/m in [0, 1)
     m = lcm(relative_order(xs), lift.translation_order,
@@ -317,12 +299,11 @@ def classify_infra(
     if any(c.periodic for c in fiber_cls) != base.periodic:
         raise ConsistencyError(
             "periodicity does not project correctly along the cover",
-            payload=(cover, x, base, fiber_cls),
+            payload=(x, base, fiber_cls),
         )
-    # all-or-none needs an invertible lift, which only the Fitting cover has
-    if cover == "fitting" and all(c.periodic for c in fiber_cls) != base.periodic:
+    if invertible and all(c.periodic for c in fiber_cls) != base.periodic:
         raise ConsistencyError(
             "invertible lift should have an all-or-none periodic fiber",
-            payload=(cover, x, base, fiber_cls),
+            payload=(x, base, fiber_cls),
         )
     return base

@@ -1,8 +1,9 @@
 """Class-2 nilpotent Lie groups in exponential coordinates.
 
 The group law is the two-term product log(g h) = X + Y + [X, Y]/2, which is
-exact over Q, so lattices, relative orders and orbit classification all run
-in exact rational arithmetic.  Lattices are handled through adapted bases:
+exact over Q, so lattices and relative orders are exact.  Orbits are walked
+on integer coset coordinates (NilCosets), with Fractions built only for
+transcripts.  Lattices are handled through adapted bases:
 the trailing rows span the derived directions, giving a two-stage
 (abelianization first, centre second) normal form.
 """

@@ -178,41 +178,37 @@ def step(f: TorusEndo, x: TorusPoint) -> TorusPoint:
     return TorusPoint(tuple(m + b for m, b in zip(moved, f.translation)))
 
 
-# The grid map of dimension n, its two orbit walks and its sweep.  ({coords})
-# = ({rows}) is one step, {push} appends to the columns, {unpack} reads a key.
+# The grid map of dimension n, its orbit walk and its sweep.  ({coords}) =
+# ({rows}) is one step, {push} appends to the columns, {unpack} reads a key.
 _GRID_SOURCE = """\
 def make({params}):
     def step(state):
         ({coords}) = state
         return ({rows})
 
-    def first_return(start):
-        ({coords}) = ({starts}) = start
-        if not ({in_grid}):
-            raise ValueError("state outside the grid")
-        {columns} = {empty}
-        {pushes} = {appends}
-        while True:
-            {push}
-            ({coords}) = ({rows})
-            if not ({moved}):
-                return 0, len(col0), [{columns}]
-
-    def first_repeat(start):
+    def walk(start):
         ({coords}) = start
         if not ({in_grid}):
             raise ValueError("state outside the grid")
         {columns} = {empty}
         {pushes} = {appends}
-        index = {{}}
-        key = {key}
-        while key not in index:
-            index[key] = len(index)
+        for _ in range(tail):
             {push}
             ({coords}) = ({rows})
-            key = {key}
-        mu = index[key]
-        return mu, len(col0) - mu, [{columns}]
+        # x_tail is periodic: walk on to its first return
+        ({starts}) = ({coords})
+        while True:
+            {push}
+            ({coords}) = ({rows})
+            if not ({moved}):
+                break
+        lam = len(col0) - tail
+        # x_j = x_(j+lam) holds from mu on, so step back from the tail
+        mu = tail
+        while mu and {same}:
+            mu -= 1
+        {cut}
+        return mu, lam, [{columns}]
 
     def sweep(starts):
         memo = [None] * m ** {n}
@@ -248,35 +244,38 @@ def make({params}):
                 memo[key] = cell
         return memo, succ
 
-    return step, first_return, first_repeat, sweep
+    return step, walk, sweep
 """
 
 
 @lru_cache(maxsize=None)
 def _grid_factory(n: int):
-    """make(m, a0_0, ..., a0_{n-1}, a1_0, ..., c0, ..., c_{n-1}) ->
-    (step, first_return, first_repeat, sweep) for the grid map of dimension n.
+    """make(m, a0_0, ..., a0_{n-1}, a1_0, ..., c0, ..., c_{n-1}, tail) ->
+    (step, walk, sweep) for the grid map of dimension n.
 
-    The source depends on n only; the entries, the translation numerators
-    and m are arguments, so one compiled factory serves every map and grid
-    of that dimension.  The step is straight-line code, one affine row mod m
-    per coordinate; it unpacks the state, so a state of the wrong length
-    raises ValueError.
+    The source depends on n only; the entries, the translation numerators,
+    m and tail are arguments, so one compiled factory serves every map and
+    grid of that dimension.  The step is straight-line code, one affine row
+    mod m per coordinate; it unpacks the state, so a state of the wrong
+    length raises ValueError.
 
-    Each walk(start) returns (preperiod, period, columns): the orbit of
-    start, its preperiod tail then one cycle, as one list of numerators per
+    walk(start) returns (preperiod, period, columns): the orbit of start,
+    its preperiod tail then one cycle, as one list of numerators per
     coordinate.  The coordinates stay locals and are stepped inline, with
-    no call per step.  first_return stops at the first return to start,
-    with no visited set, so it serves only a bijective grid, whose orbits
-    are cycles.  first_repeat finds the first repeat through a dict keyed by
-    the state packed into one int in base m.  A start of the wrong length
-    or outside [0, m)^n raises ValueError.  sweep(starts) is
-    orbits.sweep_orbits on list slots, stepped the same way.  It returns
-    (memo, succ), indexed by packed key: memo[k] = (preperiod, period) and
-    succ[k] the next key, for every state reached from the starts.  On a
-    bijective grid the first classified state a walk meets is its own start,
-    so the walk is one cycle and shares one (0, period).  A start outside
-    range(m**n) raises ValueError.
+    no call per step and no visited set.  The walk steps `tail` times, then
+    on to the first return of the state it reached; the preperiod mu is the
+    least j < tail with x_j = x_(j+period), or tail if there is none, and
+    the columns are cut to mu + period.  This is exact whenever tail bounds
+    every preperiod of the grid (see TorusGrid.tail); a smaller tail can
+    leave the walk on a state that never returns.  A start of the wrong
+    length or outside [0, m)^n raises ValueError.
+
+    sweep(starts) is orbits.sweep_orbits on list slots, stepped the same
+    way.  It returns (memo, succ), indexed by packed key: memo[k] =
+    (preperiod, period) and succ[k] the next key, for every state reached
+    from the starts.  On a bijective grid the first classified state a walk
+    meets is its own start, so the walk is one cycle and shares one
+    (0, period).  A start outside range(m**n) raises ValueError.
     """
     key = "x0"
     for j in range(1, n):
@@ -293,11 +292,13 @@ def _grid_factory(n: int):
     )
     source = _GRID_SOURCE.format(
         params=", ".join(["m", *(f"a{i}_{j}" for i in range(n) for j in range(n)),
-                          *(f"c{i}" for i in range(n))]),
+                          *(f"c{i}" for i in range(n)), "tail"]),
         n=n, unpack=unpack, coords=each("x{}, "), rows=rows, key=key, empty="[], " * n,
         starts=each("s{}, "), columns=each("col{}, "), pushes=each("push{}, "),
         appends=each("col{}.append, "), push=each("push{0}(x{0})", "; "),
         in_grid=each("0 <= x{} < m", " and "), moved=each("x{0} != s{0}", " or "),
+        same=each("col{0}[mu - 1] == col{0}[mu - 1 + lam]", " and "),
+        cut=each("del col{0}[mu + lam:]", "; "),
     )
     # runtime warnings of the generated code name this module
     namespace: dict = {"__name__": __name__}
@@ -308,28 +309,30 @@ def _grid_factory(n: int):
 class TorusGrid:
     """The map on numerators of the grid (1/m)Z^n: x -> (A x + m b) mod m.
 
-    m must be a multiple of the relative order of the translation.  The step,
-    walks and sweep come from _grid_factory; the walk is picked on first use.
-    A path is handed on as one column of numerators per coordinate.
+    m must be a multiple of the relative order of the translation.  The
+    step, walk and sweep come from _grid_factory.  A path is handed on as
+    one column of numerators per coordinate.
+
+    `tail` bounds every preperiod on the grid, so the walk is exact.  The
+    map x -> A x + c on (Z/m)^n is the linear map T = [[A, c], [0, 1]] on
+    (Z/m)^(n+1), restricted to last coordinate 1, and det T = det A.  Split
+    (Z/m)^(n+1) into its p-parts (Z/p^k)^(n+1).  Where p does not divide
+    det A, T is bijective, so every orbit there is a cycle.  Otherwise, by
+    Fitting's lemma, the kernels of T^j stop growing within the composition
+    length (n+1) k <= (n+1) floor(log2 m); past that, T^j x lies in the
+    image on which T is bijective, so it is periodic.  Hence tail = 0 when
+    gcd(det A, m) = 1, and (n+1) floor(log2 m) otherwise.  The bound cannot
+    shrink by much: x -> [[1, 1], [-1, 1]] x + (127/128, 19/32) has
+    preperiod 14 at the origin of the grid m = 128, where the tail is 21.
     """
 
     def __init__(self, f: TorusEndo, m: int):
         self.m = m
-        self._f = f
+        self.tail = 0 if gcd(f.determinant, m) == 1 else (f.dim + 1) * (m.bit_length() - 1)
         numerators = [int(x * m) % m for x in f.translation_fractions()]
-        self.step, *self._walks, self.sweep = _grid_factory(f.dim)(
-            m, *(a for row in f.linear for a in row), *numerators
+        self.step, self.walk, self.sweep = _grid_factory(f.dim)(
+            m, *(a for row in f.linear for a in row), *numerators, self.tail
         )
-
-    @cached_property
-    def walk(self):
-        """walk(start) -> (preperiod, period, columns) of the orbit of start.
-
-        x -> A x + c mod m is a permutation of (Z/m)^n iff gcd(det A, m) = 1,
-        and then the walk runs to the first return (see _grid_factory).  The
-        pick waits for first use: grids that only step, such as those of
-        FlatPoints, never need det A."""
-        return self._walks[gcd(self._f.determinant, self.m) != 1]
 
     def orders(self, columns) -> tuple[int, ...]:
         """Relative orders of the grid points of a path given as columns."""
@@ -366,8 +369,8 @@ def classify(f: TorusEndo, q) -> tuple[Classification, OrbitResult]:
 
     The orbit stays inside the finite grid of denominator lcm(ord(q), ord(b))
     because the linear part maps Z^n into itself, so the walk terminates and
-    is exact: on a bijective grid it runs to the first return to q, otherwise
-    a visited map finds the first repeat (see TorusGrid.walk).
+    is exact: it runs past a proven bound on the preperiod, then to the
+    first return (see TorusGrid).
     """
     if f.has_irrational_translation:
         raise UnsupportedInputError(

@@ -4,11 +4,11 @@ from math import gcd
 
 import pytest
 
-from nilorbit.errors import InvalidFixtureError, UnsupportedInputError
+from nilorbit.errors import InvalidFixtureError
+from nilorbit.exactmath import integral_rows
 from nilorbit.infraflat import (
     FlatPoints,
     classify_infra,
-    fitting_lift,
     holonomy_power_cover,
     validate_bieberbach,
     validate_endo,
@@ -32,6 +32,15 @@ def klein():
 
 def klein_endo(group):
     return validate_endo(group, [[3, 0], [0, 2]], [0, 0])
+
+
+def power_cover_periodic(group, endo, x) -> bool:
+    """Whether the fiber over the group orbit of x in the holonomy power
+    cover holds a periodic point: classify_infra's cross-check for a
+    singular map, run here for any map."""
+    images, q = integral_rows([rep.apply(x) for rep in group.reps])
+    _, classes = fiber_verdicts(group.power_cover.lattice_rows, endo.lift, images, q)
+    return any(c.periodic for c in classes)
 
 
 # --- validation -----------------------------------------------------------------
@@ -115,7 +124,7 @@ def test_canonical_point_idempotent_and_orbit_constant():
     group = klein()
     endo = klein_endo(group)
     m = 12
-    flat = FlatPoints(group, TorusEndo(endo.linear, endo.translation), m)
+    flat = FlatPoints(group, endo.lift, m)
     rng = random.Random(19)
     for _ in range(1000):
         state = tuple(rng.randrange(m) for _ in range(2))
@@ -160,7 +169,7 @@ def test_power_cover_built_once_per_group(monkeypatch):
     assert calls == [group]
     assert group.power_cover == holonomy_power_cover(group)
     # a new group builds (and checks) its own cover
-    classify_infra(klein(), singular, [F(1, 5), F(1, 7)], cover="gamma_power")
+    classify_infra(klein(), singular, [F(1, 5), F(1, 7)])
     assert len(calls) == 2
 
 
@@ -201,8 +210,8 @@ def test_fiber_and_flat_walks_build_no_transcript(monkeypatch):
     endo = klein_endo(group)
     singular = validate_endo(group, [[3, 0], [0, 0]], [0, 0])
     for x in ([F(1, 5), F(1, 7)], [F(1, 3), F(0)], [F(7, 6), F(-1, 4)]):
-        for f, cover in ((endo, "fitting"), (endo, "gamma_power"), (singular, "auto")):
-            classify_infra(group, f, x, cover=cover)
+        for f in (endo, singular):
+            assert power_cover_periodic(group, f, x) == classify_infra(group, f, x).periodic
         classify_fiber([[1, 1], [0, 2]], TorusEndo([[0, 1], [1, 0]], [F(1, 2), F(1, 2)]), [x])
 
 
@@ -219,7 +228,8 @@ def test_determinant_computed_once_per_endo(monkeypatch):
     group = klein()
     endo = klein_endo(group)
     monkeypatch.setattr(infraflat, "det", counting)
-    # the auto cover and the Fitting lift both read the determinant
+    # the cover pick reads the determinant on every call; the cached property
+    # computes it once
     for x in ([F(1, 5), F(1, 7)], [F(1, 3), F(1, 2)], [F(0), F(1, 4)]):
         classify_infra(group, endo, x)
     assert calls == [endo.linear]
@@ -229,19 +239,10 @@ def test_determinant_computed_once_per_endo(monkeypatch):
 def test_fitting_lift():
     group = klein()
     endo = klein_endo(group)
-    lift = fitting_lift(group, endo)
-    assert lift.linear == ((3, 0), (0, 2))
-    singular = validate_endo(group, [[0, 0], [0, 0]], [0, 0])
-    with pytest.raises(UnsupportedInputError):
-        fitting_lift(group, singular)
-
-
-def test_classify_infra_rejects_unknown_cover():
-    group = klein()
-    endo = klein_endo(group)
-    for cover in ("fiting", None):
-        with pytest.raises(ValueError, match="unknown cover"):
-            classify_infra(group, endo, [F(1, 5), F(1, 7)], cover=cover)
+    lift = endo.lift
+    assert (lift.linear, lift.translation) == (((3, 0), (0, 2)), (0, 0))
+    classify_infra(group, endo, [F(1, 5), F(1, 7)])
+    assert endo.lift is lift
 
 
 def test_fiber_is_holonomy_orbit():
@@ -305,9 +306,8 @@ def test_classify_covers_agree_small_sweep():
         for a in range(m):
             for b in range(m):
                 x = [F(a, m), F(b, m)]
-                c1 = classify_infra(group, endo, x, cover="fitting")
-                c2 = classify_infra(group, endo, x, cover="gamma_power")
-                assert (c1.preperiod, c1.period) == (c2.preperiod, c2.period)
+                cls = classify_infra(group, endo, x)
+                assert power_cover_periodic(group, endo, x) == cls.periodic
 
 
 def test_invertible_lift_fiber_all_or_none():
@@ -316,7 +316,7 @@ def test_invertible_lift_fiber_all_or_none():
     # points at all
     group = klein()
     endo = klein_endo(group)
-    lift = TorusEndo(endo.linear, endo.translation)
+    lift = endo.lift
     for m in range(1, 9):
         for a in range(m):
             for b in range(m):
@@ -342,8 +342,10 @@ def test_three_dimensional_flat_manifold():
     assert classify_infra(group, endo, [F(1, 5), F(1, 7), F(2, 7)]).periodic
     cls = classify_infra(group, endo, [F(1, 2), F(0), F(0)])
     assert cls.periodic  # (1/2,0,0) is fixed by x -> 3x on the half-grid
-    cls = classify_infra(group, endo, [F(0), F(1, 2), F(0)], cover="gamma_power")
+    cls = classify_infra(group, endo, [F(0), F(1, 2), F(0)])
     assert not cls.periodic  # halving axis is doubled, falls onto the origin
+    for x in ([F(1, 5), F(1, 7), F(2, 7)], [F(1, 2), F(0), F(0)], [F(0), F(1, 2), F(0)]):
+        assert power_cover_periodic(group, endo, x) == classify_infra(group, endo, x).periodic
 
     with pytest.raises(InvalidFixtureError, match="torsion"):
         # a half-translation along a flipped axis cancels in the square: the

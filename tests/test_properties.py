@@ -85,6 +85,7 @@ from oracles import (  # noqa: E402
     reference_torus_step,
     reference_transcript,
 )
+from test_infraflat import power_cover_periodic  # noqa: E402
 
 
 def rationals(max_den):
@@ -259,10 +260,13 @@ def test_torus_walk_matches_naive_orbit(case):
     A, b, m, start = case
     grid = TorusGrid(TorusEndo(A, b), m)
     mu, lam, path = naive_orbit(reference_torus_step(A, b, m), start)
+    # a tail below the preperiod would leave the walk on a state that never
+    # returns, so check the bound before walking
+    assert mu <= grid.tail
     assert grid.walk(start) == (mu, lam, [list(column) for column in zip(*path)])
-    # the first-return walk serves exactly the bijective grids, whose orbits are cycles
+    # the tail is 0 exactly on the bijective grids, whose orbits are cycles
     bijective = gcd(det(A), m) == 1
-    assert (grid.walk.__name__ == "first_return") == bijective
+    assert (grid.tail == 0) == bijective
     assert mu == 0 or not bijective
     # a start of the wrong length or off the grid is an error, not a hang
     for bad in (start + (0,), start[:-1], (start[0] + m, *start[1:])):
@@ -273,18 +277,28 @@ def test_torus_walk_matches_naive_orbit(case):
 def test_torus_walk_pinned_cases():
     cat = TorusEndo([[2, 1], [1, 1]])
     m = 1009 * 1013
-    assert TorusGrid(cat, m).walk.__name__ == "first_return"
+    assert TorusGrid(cat, m).tail == 0
     assert classify(cat, [Fraction(1, 1009), Fraction(2, 1013)])[0].verdict == \
         "Periodic(period=21294)"
     det2 = TorusEndo([[3, 1], [1, 1]])
-    assert TorusGrid(det2, 166).walk.__name__ == "first_repeat"
+    assert TorusGrid(det2, 166).tail == 3 * 7
     assert classify(det2, [Fraction(1, 166), Fraction(3, 166)])[0].preperiod >= 1
     singular = [[1, 2], [2, 4]]
     grid = TorusGrid(TorusEndo(singular, [Fraction(1, 3), 0]), 12)
-    assert grid.walk.__name__ == "first_repeat"
+    assert grid.tail == 3 * 3
     mu, lam, path = naive_orbit(reference_torus_step(singular, [Fraction(1, 3), 0], 12), (1, 5))
-    assert mu >= 1
+    assert 1 <= mu <= grid.tail
     assert grid.walk((1, 5)) == (mu, lam, [list(column) for column in zip(*path)])
+    # det 2 on m = 128: the preperiod reaches 14 of the tail's 21 steps
+    rotation = [[1, 1], [-1, 1]]
+    b = [Fraction(127, 128), Fraction(19, 32)]
+    grid = TorusGrid(TorusEndo(rotation, b), 128)
+    assert grid.tail == 21
+    mu, lam, path = naive_orbit(reference_torus_step(rotation, b, 128), (0, 0))
+    assert (mu, lam) == (14, 1)
+    assert grid.walk((0, 0)) == (mu, lam, [list(column) for column in zip(*path)])
+    assert classify(TorusEndo(rotation, b), [0, 0])[0].verdict == \
+        "EventuallyPeriodic(preperiod=14, period=1)"
 
 
 def _packed(state, m):
@@ -659,22 +673,20 @@ FLAT_SYSTEMS = _flat_systems()
 @st.composite
 def flat_maps_and_points(draw):
     group, invertible, singular = draw(st.sampled_from(FLAT_SYSTEMS))
-    if draw(st.booleans()):
-        endo, covers = draw(st.sampled_from(invertible)), ("auto", "fitting", "gamma_power")
-    else:
-        endo, covers = draw(st.sampled_from(singular)), ("auto", "gamma_power")
+    endo = draw(st.sampled_from(invertible if draw(st.booleans()) else singular))
     x = draw(st.lists(rationals(8), min_size=group.dim, max_size=group.dim))
-    return group, endo, x, draw(st.sampled_from(covers))
+    return group, endo, x
 
 
 @settings(max_examples=150)
 @given(flat_maps_and_points())
 def test_classify_infra_matches_reference_walk(case):
-    group, endo, x, cover = case
-    cls = classify_infra(group, endo, x, cover=cover)
+    group, endo, x = case
+    cls = classify_infra(group, endo, x)
     mu, lam, orders = flat_reference_walk(group, endo, x)
     assert (cls.preperiod, cls.period) == (mu, lam)
     assert list(cls.relative_order_trace) == orders
+    assert power_cover_periodic(group, endo, x) == cls.periodic
 
 
 # values a hand-edited fixture may hold where it should not: huge, negative,

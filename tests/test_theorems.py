@@ -11,6 +11,13 @@ determinant of the map is periodic.
 - On the central rank 2 group and the pinned `twisted` lattice: every
   map there with det != 0, classified by classify_nil and walked by the
   Fraction reference nil_reference_path, which must agree.
+- On the flat manifolds of test_properties (Klein bottle, a 3-dimensional
+  order-2 group, the 2-torus, Hantzsche-Wendt): every map there with
+  det != 0, at points x with gcd(lcm(ord x, ord b), det) = 1.  The lift
+  x -> A x + b is then a bijection of the torus grid of x, so the lift
+  orbit of x is a cycle and its projection is periodic.  classify_infra
+  decides each point, and the Fraction reference flat_reference_walk must
+  agree.
 
 Density (every admissible 1/m-cell holds a periodic point) is checked on the
 torus only: scan.density_report, which decides a cell of a map with det != 0
@@ -22,7 +29,7 @@ swept, so the torus shortcut cannot hide the defect.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -32,11 +39,12 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from nilorbit import nilclass2, torus  # noqa: E402
 from nilorbit.exactmath import det  # noqa: E402
 from nilorbit.fixtures import TorusFixture, shipped  # noqa: E402
+from nilorbit.infraflat import classify_infra  # noqa: E402
 from nilorbit.nilclass2 import Class2Group, MalcevElement, make_endo  # noqa: E402
 from nilorbit.orbits import sweep_orbits  # noqa: E402
 from nilorbit.scan import density_report  # noqa: E402
-from oracles import nil_reference_path, reference_torus_step  # noqa: E402
-from test_properties import NIL_SYSTEMS  # noqa: E402  (heisenberg, rank 2, twisted)
+from oracles import flat_reference_walk, nil_reference_path, reference_torus_step  # noqa: E402
+from test_properties import FLAT_SYSTEMS, NIL_SYSTEMS  # noqa: E402  (flat; heisenberg, rank 2, twisted)
 
 HEISENBERG = Class2Group.heisenberg()
 STANDARD = nilclass2.subgroup_generated(
@@ -125,6 +133,37 @@ def test_coprime_order_is_periodic_on_rank2_and_twisted(case):
         assert cls.periodic, (endo.matrix, g.coords, cls)
         mu, lam, _ = nil_reference_path(endo, N, g)
         assert (cls.preperiod, cls.period) == (mu, lam), (endo.matrix, g.coords)
+
+
+# maps with det != 0 on the flat groups, kept when some point qualifies:
+# gcd(ord b, det) = 1
+FLAT_INVERTIBLE = [(group, endo) for group, invertible, _ in FLAT_SYSTEMS for endo in invertible
+                   if gcd(torus.relative_order(endo.translation), endo.determinant) == 1]
+
+
+@st.composite
+def flat_cases(draw):
+    """One of those maps and random points whose denominators are coprime
+    to det."""
+    group, endo = draw(st.sampled_from(FLAT_INVERTIBLE))
+    dens = [d for d in range(1, 16) if gcd(d, endo.determinant) == 1]
+    coords = st.builds(Fraction, st.integers(-15, 15), st.sampled_from(dens))
+    points = draw(st.lists(st.lists(coords, min_size=group.dim, max_size=group.dim),
+                           min_size=1, max_size=3))
+    return group, endo, points
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(flat_cases())
+def test_coprime_order_is_periodic_on_flat_manifolds(case):
+    group, endo, points = case
+    b_order = torus.relative_order(endo.translation)
+    for x in points:
+        assert gcd(lcm(torus.relative_order(x), b_order), endo.determinant) == 1
+        cls = classify_infra(group, endo, x)
+        assert cls.periodic, (endo.linear, endo.translation, x, cls)
+        mu, lam, _ = flat_reference_walk(group, endo, x)
+        assert (cls.preperiod, cls.period) == (mu, lam), (endo.linear, x)
 
 
 @st.composite
